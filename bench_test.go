@@ -31,11 +31,7 @@ const benchSimWindow = 250 * sysc.Ms
 // BenchmarkTable2CoSimSpeed regenerates Table 2: co-simulation speed of the
 // full framework (RTK-Spec TRON + i8051 BFM + video game) across GUI
 // overhead and widget-driving BFM access rates. The custom metric
-// simsec/s is the paper's S/R. Every configuration runs on both T-THREAD
-// engines: the continuation engine is the headline (plain config name, what
-// BENCH_sysc.json and the perf gates track) and the goroutine reference
-// engine rides along under an engine=goroutine suffix so the handoff-cost
-// gap stays measured.
+// simsec/s is the paper's S/R.
 func BenchmarkTable2CoSimSpeed(b *testing.B) {
 	type cfg struct {
 		name       string
@@ -65,35 +61,27 @@ func BenchmarkTable2CoSimSpeed(b *testing.B) {
 		{name: "gui=off/frame=off/idle=sleep/tickless=off", idleSleep: 50 * sysc.Ms, noTickless: true, window: 2500 * sysc.Ms},
 	}
 	for _, c := range cases {
-		for _, engine := range []string{opts.EngineContinuation, opts.EngineGoroutine} {
-			engine := engine
-			name := c.name
-			if engine == opts.EngineGoroutine {
-				name += "/engine=goroutine"
+		b.Run(c.name, func(b *testing.B) {
+			window := benchSimWindow
+			if c.window != 0 {
+				window = c.window
 			}
-			b.Run(name, func(b *testing.B) {
-				window := benchSimWindow
-				if c.window != 0 {
-					window = c.window
+			for i := 0; i < b.N; i++ {
+				acfg := app.DefaultConfig()
+				acfg.GUI = c.gui
+				acfg.GUIWorkFactor = experiments.GUIWorkFactor
+				acfg.FramePeriod = c.frame
+				acfg.IdleSleep = c.idleSleep
+				acfg.DisableTickless = c.noTickless
+				a := app.Build(acfg)
+				if err := a.Run(window); err != nil {
+					b.Fatal(err)
 				}
-				for i := 0; i < b.N; i++ {
-					acfg := app.DefaultConfig()
-					acfg.Engine = engine
-					acfg.GUI = c.gui
-					acfg.GUIWorkFactor = experiments.GUIWorkFactor
-					acfg.FramePeriod = c.frame
-					acfg.IdleSleep = c.idleSleep
-					acfg.DisableTickless = c.noTickless
-					a := app.Build(acfg)
-					if err := a.Run(window); err != nil {
-						b.Fatal(err)
-					}
-					a.Shutdown()
-				}
-				simsec := window.Seconds() * float64(b.N)
-				b.ReportMetric(simsec/b.Elapsed().Seconds(), "simsec/s")
-			})
-		}
+				a.Shutdown()
+			}
+			simsec := window.Seconds() * float64(b.N)
+			b.ReportMetric(simsec/b.Elapsed().Seconds(), "simsec/s")
+		})
 	}
 }
 
@@ -115,7 +103,6 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 			Scenario:  run.ScenarioSynthetic,
 			Seed:      42,
 			Dur:       run.Duration(12 * time.Second),
-			Engine:    opts.EngineContinuation,
 			Synthetic: &run.SyntheticSpec{Gen: &workload.GenSpec{}},
 		},
 		Prefix:  run.Duration(10 * time.Second),
@@ -484,32 +471,23 @@ func BenchmarkTThreadConsume(b *testing.B) {
 // fixed seed, so the set (6 tasks, utilization 0.6, one sem/mutex/mbf/flag,
 // one interrupt source) is identical across runs and machines. Unlike the
 // Table 2 benchmark there is no BFM or GUI layer: this tracks the bare
-// kernel data path under a mixed periodic/blocking load. Both T-THREAD
-// engines run; the continuation engine is the headline.
+// kernel data path under a mixed periodic/blocking load.
 func BenchmarkSyntheticCoSimSpeed(b *testing.B) {
 	ts := workload.Generate(sweep.NewRNG(sweep.Seed(42, 0)), workload.GenSpec{})
-	for _, engine := range []string{opts.EngineContinuation, opts.EngineGoroutine} {
-		name := "gen=default"
-		if engine == opts.EngineGoroutine {
-			name += "/engine=goroutine"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sim := sysc.NewSimulator()
-				kcfg := tkernel.Config{Costs: tkernel.DefaultCosts()}
-				kcfg.Engine = engine
-				k := tkernel.New(sim, kcfg)
-				inst := workload.Build(sim, k, ts, 42)
-				if err := sim.Start(benchSimWindow); err != nil {
-					b.Fatal(err)
-				}
-				if inst.Activations() == 0 {
-					b.Fatal("no task activations")
-				}
-				sim.Shutdown()
+	b.Run("gen=default", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sim := sysc.NewSimulator()
+			k := tkernel.New(sim, tkernel.Config{Costs: tkernel.DefaultCosts()})
+			inst := workload.Build(sim, k, ts, 42)
+			if err := sim.Start(benchSimWindow); err != nil {
+				b.Fatal(err)
 			}
-			simsec := benchSimWindow.Seconds() * float64(b.N)
-			b.ReportMetric(simsec/b.Elapsed().Seconds(), "simsec/s")
-		})
-	}
+			if inst.Activations() == 0 {
+				b.Fatal("no task activations")
+			}
+			sim.Shutdown()
+		}
+		simsec := benchSimWindow.Seconds() * float64(b.N)
+		b.ReportMetric(simsec/b.Elapsed().Seconds(), "simsec/s")
+	})
 }

@@ -45,7 +45,6 @@ func main() {
 	faults := flag.Int("faults", 5, "faults per schedule")
 	corrupt := flag.Bool("corrupt", false, "include corruption faults (pool leak) the oracles must catch")
 	minimize := flag.Bool("minimize", false, "ddmin failing schedules to a minimal repro")
-	engine := flag.String("engine", "", "T-THREAD engine: goroutine (default) or continuation")
 	job := flag.Int("job", -1, "replay a single job index instead of the campaign")
 	traceOut := flag.String("trace", "", "with -job: stream a Perfetto trace of the replay (load at ui.perfetto.dev)")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline; on expiry completed verdicts are reported and the exit code is 1")
@@ -107,9 +106,6 @@ func main() {
 	}
 	if *specPath == "" || explicit["seed"] {
 		spec.Seed = *seed
-	}
-	if *specPath == "" || explicit["engine"] {
-		spec.Engine = *engine
 	}
 	if *specPath == "" || explicit["dur"] {
 		spec.Dur = run.Duration(*dur)

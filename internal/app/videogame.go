@@ -160,10 +160,9 @@ func Build(cfg Config) *App {
 	a.B = bfm.New(a.Sim, nil, bcfg)
 	a.K = tkernel.New(a.Sim, tkernel.Config{
 		CommonOptions: opts.CommonOptions{
-			Engine: cfg.Engine,
-			Tick:   a.B.RTC.Period(),
-			Bus:    cfg.Bus,
-			Gantt:  cfg.Gantt,
+			Tick:  a.B.RTC.Period(),
+			Bus:   cfg.Bus,
+			Gantt: cfg.Gantt,
 		},
 		Costs:           costs,
 		TickSource:      a.B.RTC.TickEvent(),
@@ -199,9 +198,8 @@ func Build(cfg Config) *App {
 
 	// Synthetic user pressing keys (GUI event capture). A non-zero seed
 	// draws the up/down sequence from a deterministic stream instead of the
-	// legacy fixed pattern, so runs vary by seed but replay exactly. Under
-	// the continuation engine the user runs as a step-function coroutine —
-	// same click instants, no goroutine.
+	// legacy fixed pattern, so runs vary by seed but replay exactly. The
+	// user runs as a step-function coroutine: no goroutine of its own.
 	if cfg.KeyPeriod > 0 {
 		keys := []byte{2, 8, 2, 2, 8, 8} // up/down pattern
 		var rng *sweep.RNG
@@ -215,33 +213,23 @@ func Build(cfg Config) *App {
 			}
 			a.PadW.Click(key)
 		}
-		if cfg.Engine == opts.EngineContinuation {
-			i, started := 0, false
-			a.Sim.SpawnCoro("user.keys", func(c *sysc.Coro) {
-				if started {
-					click(i)
-					i++
-				}
-				started = true
-				c.Wait(cfg.KeyPeriod)
-			})
-		} else {
-			a.Sim.Spawn("user.keys", func(th *sysc.Thread) {
-				for i := 0; ; i++ {
-					th.Wait(cfg.KeyPeriod)
-					click(i)
-				}
-			})
-		}
+		i, started := 0, false
+		a.Sim.SpawnCoro("user.keys", func(c *sysc.Coro) {
+			if started {
+				click(i)
+				i++
+			}
+			started = true
+			c.Wait(cfg.KeyPeriod)
+		})
 	}
 	return a
 }
 
 // userMain is the user main entry called by the INIT task: it creates and
 // starts tasks, handlers and application resources (Figure 3's startup).
-// Every body is a tkernel.Program, so the same op sequence runs on either
-// T-THREAD engine: the goroutine engine interprets it, the continuation
-// engine drives it inline as a resumable machine.
+// Every body is a tkernel.Program, compiled to a resumable machine the
+// scheduler loop drives inline; BFM accesses are Access ops.
 func (a *App) userMain(k *tkernel.Kernel) {
 	a.frameFlg, _ = k.CreFlg("frame-flg", tkernel.TaWMUL, 0)
 	a.keyMbx, _ = k.CreMbx("key-mbx", tkernel.TaMFIFO)
@@ -278,12 +266,14 @@ func (a *App) userMain(k *tkernel.Kernel) {
 
 	// Keypad ISR: read the key from the port, post it to T2's mailbox.
 	var keyMsg *tkernel.Message
+	pad := a.B.Ports[2]
+	sel, rd := pad.SelectCharge(), pad.ReadCharge()
 	_ = k.DefIntProg(bfm.KeypadIntLine, "key-isr",
 		k.NewHandlerProgram("key-isr").
 			Work(core.Cost{Time: 10 * sysc.Us, Energy: petri.MicroJ}, "key-isr").
-			AtomIo(func() { // keypad port read consumes BFM time
-				a.B.Ports[2].Select(0)
-				keyMsg = &tkernel.Message{Payload: a.B.Ports[2].Read()}
+			Access(sel.Cost, sel.Note, func() { pad.SelectEffect(0) }).
+			Access(rd.Cost, rd.Note, func() {
+				keyMsg = &tkernel.Message{Payload: pad.ReadEffect()}
 			}).
 			SndMbx(&a.keyMbx, &keyMsg, nil))
 	// Serial ISR: count transmit completions (waveform fodder).
@@ -293,13 +283,17 @@ func (a *App) userMain(k *tkernel.Kernel) {
 }
 
 // lcdProgram is T1: wait for the frame event, compute the next game frame
-// and render it into the LCD through BFM port writes.
+// and render it into the LCD through BFM port writes — the accesses that
+// drive the GUI widget.
 func (a *App) lcdProgram(k *tkernel.Kernel) *tkernel.Program {
 	var (
 		ptn    uint32
 		er     tkernel.ER
 		scored bool
+		glyph  byte
 	)
+	lcd := a.B.Ports[1]
+	sel, wr := lcd.SelectCharge(), lcd.WriteCharge()
 	return k.NewProgram("T1.lcd").
 		Label("loop").
 		WaiFlg(&a.frameFlg, flgFrame|flgQuit, tkernel.TwfORW|tkernel.TwfBitCLR,
@@ -310,10 +304,21 @@ func (a *App) lcdProgram(k *tkernel.Kernel) *tkernel.Program {
 		Br(func() bool { return !scored }, "render").
 		SigSem(&a.scoreSem, 1, nil).
 		Label("render").
-		AtomIo(func() { // LCD port writes consume BFM/GUI time
-			a.renderFrame()
-			a.frames++
+		Access(sel.Cost, sel.Note, func() { lcd.SelectEffect(0) }).
+		Access(wr.Cost, wr.Note, func() { lcd.WriteEffect(0x01) }).
+		Access(wr.Cost, wr.Note, func() { lcd.WriteEffect(0x80 | byte(a.ballX)) }).
+		Access(wr.Cost, wr.Note, func() { lcd.WriteEffect('o') }).
+		Access(wr.Cost, wr.Note, func() { lcd.WriteEffect(0x80 | 16 | 15) }). // paddle column, row 1
+		// T2 may have moved the paddle during the writes above: sample it
+		// just before the write that shows it.
+		Atom(func() {
+			glyph = ' '
+			if a.paddle == 1 {
+				glyph = ']'
+			}
 		}).
+		Access(wr.Cost, wr.Note, func() { lcd.WriteEffect(glyph) }).
+		Atom(func() { a.frames++ }).
 		Jump("loop").
 		Label("end")
 }
@@ -335,22 +340,6 @@ func (a *App) stepGame() bool {
 		}
 	}
 	return false
-}
-
-// renderFrame writes the frame to the LCD over the parallel port: the BFM
-// access driving the GUI widget.
-func (a *App) renderFrame() {
-	p := a.B.Ports[1]
-	p.Select(0) // LCD
-	p.Write(0x01)
-	p.Write(0x80 | byte(a.ballX))
-	p.Write('o')
-	p.Write(0x80 | 16 | 15) // paddle column, row 1
-	if a.paddle == 1 {
-		p.Write(']')
-	} else {
-		p.Write(' ')
-	}
 }
 
 // keypadProgram is T2: receive key events from the ISR's mailbox and move
@@ -381,24 +370,27 @@ func (a *App) keypadProgram(k *tkernel.Kernel) *tkernel.Program {
 // ssdProgram is T3: update the score display whenever the score semaphore
 // is signalled (by T1 scoring or H2 bonuses).
 func (a *App) ssdProgram(k *tkernel.Kernel) *tkernel.Program {
-	var er tkernel.ER
+	var (
+		er    tkernel.ER
+		total int
+	)
+	ssd, ser := a.B.Ports[1], a.B.Serial
+	sel, wr, send := ssd.SelectCharge(), ssd.WriteCharge(), ser.SendCharge()
 	return k.NewProgram("T3.ssd").
 		Label("loop").
 		WaiSem(&a.scoreSem, 1, tkernel.TmoFevr, &er).
 		Br(func() bool { return er != tkernel.EOK }, "end").
 		Work(core.Cost{Time: 60 * sysc.Us, Energy: 3 * petri.MicroJ}, "score-update").
-		AtomIo(func() { // SSD port writes + serial send consume BFM time
-			total := a.score + a.bonus
-			p := a.B.Ports[1]
-			p.Select(1) // SSD
-			p.Write(byte(0x00 | (total/1000)%10))
-			p.Write(byte(0x10 | (total/100)%10))
-			p.Write(byte(0x20 | (total/10)%10))
-			p.Write(byte(0x30 | total%10))
-			// Report the score over the serial channel (waveform traffic;
-			// transmission completion raises the serial ISR).
-			a.B.Serial.Send(byte(total))
-		}).
+		// Latch the total once: T1 and H2 may bump it during the writes.
+		Atom(func() { total = a.score + a.bonus }).
+		Access(sel.Cost, sel.Note, func() { ssd.SelectEffect(1) }).
+		Access(wr.Cost, wr.Note, func() { ssd.WriteEffect(byte(0x00 | (total/1000)%10)) }).
+		Access(wr.Cost, wr.Note, func() { ssd.WriteEffect(byte(0x10 | (total/100)%10)) }).
+		Access(wr.Cost, wr.Note, func() { ssd.WriteEffect(byte(0x20 | (total/10)%10)) }).
+		Access(wr.Cost, wr.Note, func() { ssd.WriteEffect(byte(0x30 | total%10)) }).
+		// Report the score over the serial channel (waveform traffic;
+		// transmission completion raises the serial ISR).
+		Access(send.Cost, send.Note, func() { ser.SendEffect(byte(total)) }).
 		Jump("loop").
 		Label("end")
 }

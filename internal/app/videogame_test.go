@@ -191,3 +191,27 @@ func TestVideoGameLCDShowsBall(t *testing.T) {
 		t.Fatalf("no ball on LCD:\n%s", a.LCD.Render())
 	}
 }
+
+// TestVideoGameBodiesCompiled: every task, handler and ISR of the case
+// study is a Program compiled to a machine the scheduler loop drives
+// inline — BFM accesses included — so only the INIT task, a closure body,
+// runs on a goroutine.
+func TestVideoGameBodiesCompiled(t *testing.T) {
+	a := buildAndRun(t, app.DefaultConfig(), 50*sysc.Ms)
+	compiled := map[string]bool{}
+	for _, tt := range a.K.API().Threads() {
+		compiled[tt.Name()] = tt.Compiled()
+	}
+	for _, name := range []string{"T1.lcd", "T2.keypad", "T3.ssd", "T4.idle",
+		"H1.cyclic", "H2.alarm", "key-isr", "ser-isr"} {
+		if c, ok := compiled[name]; !ok || !c {
+			t.Errorf("%s: compiled=%v present=%v", name, c, ok)
+		}
+	}
+	if compiled["INIT"] {
+		t.Error("INIT should run its closure body on a goroutine")
+	}
+	if len(compiled) != 9 {
+		t.Errorf("T-THREADs %v, want the eight bodies plus INIT", compiled)
+	}
+}

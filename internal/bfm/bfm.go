@@ -118,22 +118,50 @@ func (b *BFM) Accesses() uint64 { return b.accesses }
 // BusCycles returns the total machine cycles consumed by BFM calls.
 func (b *BFM) BusCycles() uint64 { return b.cycles }
 
-// call charges one BFM access of the given cycle budget to the calling
-// T-THREAD (if any): the access consumes cycles × machine-cycle of
-// execution time and cycles × energy-per-cycle of energy, in the BFM
-// context of the trace.
-func (b *BFM) call(cycles int, name string) {
-	b.accesses++
-	b.cycles += uint64(cycles)
+// Charge is the charge half of one BFM handshake: its cycle budget as
+// execution time and energy, consumed by the calling T-THREAD in the BFM
+// trace context under Note. A compiled tkernel.Program spends it with an
+// Access op and then runs the handshake's uncharged effect half.
+type Charge struct {
+	Cost   core.Cost
+	Note   string
+	cycles int
+}
+
+// charge builds the Charge of an access of the given cycle budget.
+func (b *BFM) charge(cycles int, note string) Charge {
+	return Charge{
+		Cost: core.Cost{
+			Time:   sysc.Time(cycles) * b.machineCycle,
+			Energy: petri.Energy(cycles) * b.cfg.EnergyPerCycle,
+		},
+		Note:   note,
+		cycles: cycles,
+	}
+}
+
+// consume spends c on the calling T-THREAD, if any.
+func (b *BFM) consume(c Charge) {
 	if b.api == nil {
 		return
 	}
 	if tt := b.api.ExecutingThread(); tt != nil {
-		tt.Consume(core.Cost{
-			Time:   sysc.Time(cycles) * b.machineCycle,
-			Energy: petri.Energy(cycles) * b.cfg.EnergyPerCycle,
-		}, trace.CtxBFM, name)
+		tt.Consume(c.Cost, trace.CtxBFM, c.Note)
 	}
+}
+
+// count records one performed access; every effect half starts with it.
+func (b *BFM) count(c Charge) {
+	b.accesses++
+	b.cycles += uint64(c.cycles)
+}
+
+// call performs one BFM access of the given cycle budget that has no
+// separate effect half: consume its charge, then count it.
+func (b *BFM) call(cycles int, name string) {
+	c := b.charge(cycles, name)
+	b.consume(c)
+	b.count(c)
 }
 
 // probe records a VCD change when a waveform recorder is attached.

@@ -18,6 +18,7 @@ type SerialIO struct {
 	rx []byte
 
 	txLog []byte // everything transmitted, for inspection/tests
+	sendC Charge
 }
 
 // SerialIntLine is the interrupt line used by the serial channel (8051 TI/RI).
@@ -29,6 +30,7 @@ func newSerialIO(b *BFM, baud int) *SerialIO {
 		baud:    baud,
 		frame:   sysc.Time(int64(sysc.Sec) * 10 / int64(baud)),
 		intLine: SerialIntLine,
+		sendC:   b.charge(1, "sbuf.wr"),
 	}
 }
 
@@ -43,7 +45,16 @@ func (s *SerialIO) TxBusy() bool { return s.b.sim.Now() < s.busyTill }
 // Sending while busy drops the previous frame tail (overrun) exactly like
 // overwriting SBUF.
 func (s *SerialIO) Send(v byte) {
-	s.b.call(1, "sbuf.wr")
+	s.b.consume(s.sendC)
+	s.SendEffect(v)
+}
+
+// SendCharge is the charge half of Send.
+func (s *SerialIO) SendCharge() Charge { return s.sendC }
+
+// SendEffect is the uncharged half of Send.
+func (s *SerialIO) SendEffect(v byte) {
+	s.b.count(s.sendC)
 	s.b.probe("sbuf.tx", uint64(v))
 	now := s.b.sim.Now()
 	start := now

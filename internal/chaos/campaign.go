@@ -25,7 +25,6 @@ type Config struct {
 	Faults   int       // faults per schedule (default 5)
 	Corrupt  bool      // include corruption faults (PoolLeak) in the draw
 	Minimize bool      // ddmin failing schedules to a minimal repro
-	Engine   string    // T-THREAD engine ("" = goroutine)
 
 	// Synthetic, when non-nil, replaces the built-in chaos application:
 	// each job generates a fresh workload.TaskSet from stream 0 of its own
@@ -295,8 +294,7 @@ func execute(ctx context.Context, cfg Config, seed uint64, sched Schedule, trace
 	sim := sysc.NewSimulator()
 	defer sim.Shutdown()
 
-	scfg := SystemConfig{Tasks: cfg.Tasks, Costs: tkernel.DefaultCosts(), Schedule: sched,
-		Engine: cfg.Engine}
+	scfg := SystemConfig{Tasks: cfg.Tasks, Costs: tkernel.DefaultCosts(), Schedule: sched}
 	var pf *trace.Perfetto
 	if traceW != nil {
 		scfg.Bus = event.NewBus()

@@ -4,47 +4,45 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/run/opts"
 	"repro/internal/sysc"
 	"repro/internal/workload"
 )
 
 // TestSyntheticCampaign runs a small campaign over generated task sets on
-// both engines: every job must pass the oracles, and the summaries must be
-// byte-identical across engines (the chaos half of the synthetic
+// one and two workers: every job must pass the oracles, and the summaries
+// must be byte-identical across pool sizes (the chaos half of the synthetic
 // determinism contract).
 func TestSyntheticCampaign(t *testing.T) {
 	base := Config{
 		Seeds:     5,
 		BaseSeed:  0xC0FFEE,
-		Workers:   1,
 		Dur:       80 * sysc.Ms,
 		Synthetic: &workload.GenSpec{Interrupts: 2},
 	}
-	summaries := map[string]string{}
-	for _, engine := range []string{opts.EngineGoroutine, opts.EngineContinuation} {
+	var summaries [2]string
+	for i := range summaries {
 		cfg := base
-		cfg.Engine = engine
+		cfg.Workers = i + 1
 		rep := Run(cfg)
 		if got := len(rep.Verdicts); got != base.Seeds {
-			t.Fatalf("engine=%s: %d verdicts, want %d", engine, got, base.Seeds)
+			t.Fatalf("workers=%d: %d verdicts, want %d", cfg.Workers, got, base.Seeds)
 		}
 		for _, v := range rep.Verdicts {
 			if !v.Pass {
-				t.Errorf("engine=%s: job %d failed:\n%s", engine, v.Index, v.Repro)
+				t.Errorf("workers=%d: job %d failed:\n%s", cfg.Workers, v.Index, v.Repro)
 			}
 			if v.Cycles == 0 {
-				t.Errorf("engine=%s: job %d made no activations", engine, v.Index)
+				t.Errorf("workers=%d: job %d made no activations", cfg.Workers, v.Index)
 			}
 		}
-		summaries[engine] = rep.Summary()
+		summaries[i] = rep.Summary()
 	}
-	g, c := summaries[opts.EngineGoroutine], summaries[opts.EngineContinuation]
-	if g != c {
-		t.Errorf("summaries differ between engines:\n--- goroutine ---\n%s--- continuation ---\n%s", g, c)
+	if summaries[0] != summaries[1] {
+		t.Errorf("summaries differ between pool sizes:\n--- 1 worker ---\n%s--- 2 workers ---\n%s",
+			summaries[0], summaries[1])
 	}
-	if !strings.Contains(g, "synthetic workload:") {
-		t.Errorf("summary missing the synthetic header:\n%s", g)
+	if !strings.Contains(summaries[0], "synthetic workload:") {
+		t.Errorf("summary missing the synthetic header:\n%s", summaries[0])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/run/opts"
 	"repro/internal/sweep"
 	"repro/internal/sysc"
 	"repro/internal/tkernel"
@@ -24,9 +23,6 @@ type SystemConfig struct {
 	// frozen into the kernel's construction config and the injector is
 	// bound before BuildSystem returns (reachable via System.Inj).
 	Schedule Schedule
-	// Engine selects the T-THREAD execution engine (opts.EngineGoroutine /
-	// opts.EngineContinuation; empty = goroutine).
-	Engine string
 	// DeferFaults binds the injector's hooks but spawns no event-fault
 	// threads and starts with an empty active schedule — the warm-minimizer
 	// construction, which simulates a fault-free prefix, checkpoints it, and
@@ -67,7 +63,6 @@ func BuildSyntheticSystem(sim *sysc.Simulator, seed uint64, cfg SystemConfig, ts
 	g := trace.NewGantt()
 	inj := NewInjector(cfg.Schedule)
 	kcfg := tkernel.Config{Costs: cfg.Costs}
-	kcfg.Engine = cfg.Engine
 	kcfg.Bus = cfg.Bus
 	kcfg.Gantt = g
 	inj.Configure(&kcfg)
@@ -126,7 +121,6 @@ func BuildSystem(sim *sysc.Simulator, seed uint64, cfg SystemConfig) *System {
 	g := trace.NewGantt()
 	inj := NewInjector(cfg.Schedule)
 	kcfg := tkernel.Config{Costs: cfg.Costs}
-	kcfg.Engine = cfg.Engine
 	kcfg.Bus = cfg.Bus
 	kcfg.Gantt = g
 	inj.Configure(&kcfg)
@@ -202,26 +196,16 @@ func BuildSystem(sim *sysc.Simulator, seed uint64, cfg SystemConfig) *System {
 	})
 
 	// Periodic device model: raises interrupt 1 every 5 ms (the target the
-	// DropIRQ fault suppresses and IRQBurst storms). On the continuation
-	// engine it runs as a step-function coroutine — same raise instants, no
-	// goroutine.
-	if cfg.Engine == opts.EngineContinuation {
-		started := false
-		sim.SpawnCoro("chaos.device", func(c *sysc.Coro) {
-			if started {
-				_ = k.RaiseInterrupt(1)
-			}
-			started = true
-			c.Wait(5 * sysc.Ms)
-		})
-	} else {
-		sim.Spawn("chaos.device", func(th *sysc.Thread) {
-			for {
-				th.Wait(5 * sysc.Ms)
-				_ = k.RaiseInterrupt(1)
-			}
-		})
-	}
+	// DropIRQ fault suppresses and IRQBurst storms), as a step-function
+	// coroutine.
+	started := false
+	sim.SpawnCoro("chaos.device", func(c *sysc.Coro) {
+		if started {
+			_ = k.RaiseInterrupt(1)
+		}
+		started = true
+		c.Wait(5 * sysc.Ms)
+	})
 
 	return sys
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/run/opts"
 	"repro/internal/sweep"
 	"repro/internal/sysc"
 	"repro/internal/workload"
@@ -21,7 +20,6 @@ func TestWarmTrialMatchesCold(t *testing.T) {
 	cfg := Config{
 		BaseSeed:  0xD15EA5E,
 		Dur:       50 * sysc.Ms,
-		Engine:    opts.EngineContinuation,
 		Synthetic: &workload.GenSpec{Interrupts: 2},
 	}.normalized()
 	ctx := context.Background()
@@ -31,7 +29,7 @@ func TestWarmTrialMatchesCold(t *testing.T) {
 
 		wm := newWarmMinimizer(ctx, cfg, seed, sched)
 		if wm == nil {
-			t.Fatalf("job %d: warm minimizer refused a synthetic continuation config", index)
+			t.Fatalf("job %d: warm minimizer refused a synthetic config", index)
 		}
 
 		subsets := []Schedule{sched, nil}
@@ -64,19 +62,14 @@ func TestWarmTrialMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmMinimizerRefusesUnsupported: the built-in application and the
-// goroutine engine are outside the snapshot envelope — the minimizer must
-// signal cold fallback by returning nil, never by failing trials.
+// TestWarmMinimizerRefusesUnsupported: the built-in application is outside
+// the snapshot envelope — the minimizer must signal cold fallback by
+// returning nil, never by failing trials.
 func TestWarmMinimizerRefusesUnsupported(t *testing.T) {
 	ctx := context.Background()
-	builtin := Config{Dur: 50 * sysc.Ms, Engine: opts.EngineContinuation}.normalized()
+	builtin := Config{Dur: 50 * sysc.Ms}.normalized()
 	if wm := newWarmMinimizer(ctx, builtin, 1, drawSchedule(builtin, 1)); wm != nil {
 		wm.close()
 		t.Fatalf("built-in app: want nil warm minimizer")
-	}
-	goro := Config{Dur: 50 * sysc.Ms, Synthetic: &workload.GenSpec{}}.normalized()
-	if wm := newWarmMinimizer(ctx, goro, 1, drawSchedule(goro, 1)); wm != nil {
-		wm.close()
-		t.Fatalf("goroutine engine: want nil warm minimizer")
 	}
 }

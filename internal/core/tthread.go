@@ -273,11 +273,11 @@ func (t *TThread) AwaitCPU() { t.waitForCPU() }
 // resumes the remaining budget. Completion fires one Ec transition.
 //
 // Consume must be called from within the thread's own body. Compiled
-// (continuation-engine) bodies cannot park inside an opaque closure: code
-// reaching here from one belongs in a Work op or an AtomIo fallback body.
+// bodies cannot park inside an opaque closure: execution time they consume
+// belongs in a Work op, and a BFM access in an Access op.
 func (t *TThread) Consume(cost Cost, ctx trace.Context, note string) {
 	if t.th == nil {
-		panic(fmt.Sprintf("core: thread %q: Consume from a compiled body outside a Work op (mark the enclosing atom AtomIo)", t.name))
+		panic(fmt.Sprintf("core: thread %q: Consume from a compiled body outside a Work op (express a BFM access as an Access op)", t.name))
 	}
 	if t.api.consumeShaper != nil {
 		cost = t.api.consumeShaper(t, cost, ctx)

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"sort"
 	"time"
-
-	"repro/internal/run/opts"
 )
 
 // This file defines the canonical Spec encoding and its content hash — the
@@ -22,7 +20,9 @@ import (
 // Fields that can never change a *successful* run's artifacts are erased
 // too: Deadline only decides whether a run completes (a completed run's
 // artifacts are deadline-independent, and only completed runs are cached)
-// and the chaos/experiments worker counts only change wall-clock cost.
+// and the chaos/experiments worker counts only change wall-clock cost. The
+// retired engine knob is erased the same way: every spelling runs the one
+// T-THREAD engine.
 
 // canonicalDefaults mirrored from the scenario executors. Kept as named
 // constants so executor and canonicalizer can't silently drift apart in
@@ -52,7 +52,6 @@ func Canonicalize(spec Spec) (Spec, error) {
 	switch spec.Scenario {
 	case ScenarioVideogame:
 		c.Dur = durOr(spec.Dur, defaultVideogameDur)
-		c.Engine = engineOr(spec.Engine)
 		c.GUI = boolPtr(boolOr(spec.GUI, true))
 		c.Frame = durOr(spec.Frame, defaultFrame)
 		c.Tick = durOr(spec.Tick, defaultTick)
@@ -61,7 +60,6 @@ func Canonicalize(spec Spec) (Spec, error) {
 		c.IdleSleep = spec.IdleSleep
 	case ScenarioChaos:
 		c.Dur = durOr(spec.Dur, defaultChaosDur)
-		c.Engine = engineOr(spec.Engine)
 		cs := ChaosSpec{}
 		if spec.Chaos != nil {
 			cs = *spec.Chaos
@@ -100,7 +98,6 @@ func Canonicalize(spec Spec) (Spec, error) {
 		c.Experiments = &es
 	case ScenarioSynthetic:
 		c.Dur = durOr(spec.Dur, defaultSyntheticDur)
-		c.Engine = engineOr(spec.Engine)
 		c.Tick = durOr(spec.Tick, defaultTick)
 		c.Tickless = boolPtr(boolOr(spec.Tickless, true))
 		if spec.Synthetic != nil { // absent only for resume_from runs
@@ -178,13 +175,6 @@ func durOr(d, def Duration) Duration {
 		return def
 	}
 	return d
-}
-
-func engineOr(e string) string {
-	if e == "" {
-		return opts.EngineGoroutine
-	}
-	return e
 }
 
 func boolPtr(b bool) *bool { return &b }

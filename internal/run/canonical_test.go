@@ -16,7 +16,6 @@ func TestHashDefaultsMaterialized(t *testing.T) {
 	full := Spec{
 		Scenario: ScenarioVideogame,
 		Dur:      Duration(time.Second),
-		Engine:   "goroutine",
 		GUI:      &tru,
 		Frame:    Duration(10 * time.Millisecond),
 		Tick:     Duration(time.Millisecond),
@@ -95,16 +94,26 @@ func TestHashDistinguishesResults(t *testing.T) {
 	}
 }
 
-// TestHashEngineIsIdentity documents a deliberate choice: the engine knob
-// is part of the hash even though both engines produce byte-identical
-// artifacts — the engine-diff suite, not the cache, is where that
-// equivalence is asserted.
+// TestHashEngineIsIdentity: the retired engine knob is result-irrelevant,
+// so every accepted spelling hashes like the Spec without it, in every
+// scenario that used to read it; any other value is still invalid.
 func TestHashEngineIsIdentity(t *testing.T) {
-	if mustHash(t, Spec{Engine: "goroutine"}) == mustHash(t, Spec{Engine: "continuation"}) {
-		t.Fatal("engines collided")
+	specs := map[string]Spec{
+		"videogame": {},
+		"chaos":     {Scenario: ScenarioChaos},
+		"synthetic": {Scenario: ScenarioSynthetic, Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}}},
 	}
-	if mustHash(t, Spec{}) != mustHash(t, Spec{Engine: "goroutine"}) {
-		t.Fatal("default engine not materialized as goroutine")
+	for name, s := range specs {
+		want := mustHash(t, s)
+		for _, engine := range []string{"goroutine", "continuation"} {
+			s.Engine = engine
+			if got := mustHash(t, s); got != want {
+				t.Errorf("%s: engine %q hashes %s, want %s", name, engine, got, want)
+			}
+		}
+	}
+	if _, err := Hash(Spec{Engine: "threads"}); err == nil {
+		t.Error("unknown engine accepted")
 	}
 }
 

@@ -26,7 +26,6 @@ func executeChaos(ctx context.Context, spec Spec) (Result, error) {
 		Faults:    cs.Faults,
 		Corrupt:   cs.Corrupt,
 		Minimize:  cs.Minimize,
-		Engine:    spec.Engine,
 		Synthetic: cs.Synthetic,
 	}
 	// Mirror the chaos.Config defaults up front so the Report header (which

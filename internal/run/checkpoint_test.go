@@ -7,8 +7,9 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/run/opts"
 	"repro/internal/snapshot"
+	"repro/internal/sysc"
+	"repro/internal/tkernel"
 	"repro/internal/workload"
 )
 
@@ -46,25 +47,18 @@ func compareArtifacts(t *testing.T, label string, a, b Result, names []string) {
 
 // TestSyntheticCheckpointByteEquality: pausing a synthetic run at a
 // quiescent point and continuing is unobservable — a checkpoint run's
-// artifacts byte-match the straight run's, per generated task set on both
-// engines (the pause-only form needs no capture, so the goroutine engine
-// supports it too).
+// artifacts byte-match the straight run's, per generated task set.
 func TestSyntheticCheckpointByteEquality(t *testing.T) {
 	arts := []string{ArtifactTrace, ArtifactMetrics, ArtifactGantt, ArtifactTaskSet}
 	for seed := uint64(0); seed < 10; seed++ {
-		engine := opts.EngineContinuation
-		if seed%2 == 1 {
-			engine = opts.EngineGoroutine
-		}
 		spec := Spec{
 			Scenario:  ScenarioSynthetic,
 			Seed:      seed,
 			Dur:       simMs(200),
-			Engine:    engine,
 			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
 			Artifacts: arts,
 		}
-		label := fmt.Sprintf("seed%d/%s", seed, engine)
+		label := fmt.Sprintf("seed%d", seed)
 		straight := mustExecute(t, label+"/straight", spec)
 		paused := mustExecute(t, label+"/paused", checkpointOf(spec, 100))
 		compareArtifacts(t, label, straight, paused, arts)
@@ -86,7 +80,7 @@ func TestVideogameCheckpointByteEquality(t *testing.T) {
 		{"gui-off", Spec{Dur: simMs(300), GUI: &off}},
 		{"idle-sleep", Spec{Dur: simMs(300), IdleSleep: simMs(5)}},
 		{"tickless-off", Spec{Dur: simMs(300), Tickless: &off}},
-		{"continuation", Spec{Dur: simMs(300), Engine: opts.EngineContinuation}},
+		{"frame-off", Spec{Dur: simMs(300), Frame: -1}},
 	}
 	for _, tc := range configs {
 		tc.spec.Artifacts = arts
@@ -109,7 +103,6 @@ func TestSnapshotResumeByteEquality(t *testing.T) {
 			Scenario:  ScenarioSynthetic,
 			Seed:      seed,
 			Dur:       simMs(200),
-			Engine:    opts.EngineContinuation,
 			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
 			Artifacts: arts,
 		}
@@ -144,18 +137,35 @@ func TestSnapshotResumeByteEquality(t *testing.T) {
 	}
 }
 
-// TestSnapshotGoroutineEngineRefused: capture on the goroutine engine
-// fails with the typed refusal error, not a panic or silent corruption.
+// TestSnapshotGoroutineEngineRefused: capture while a goroutine-backed
+// (closure-bodied) T-THREAD is active fails with the typed refusal error,
+// not a panic or silent corruption.
 func TestSnapshotGoroutineEngineRefused(t *testing.T) {
 	spec := Spec{
-		Scenario:   ScenarioSynthetic,
-		Dur:        simMs(100),
-		Engine:     opts.EngineGoroutine,
-		Synthetic:  &SyntheticSpec{Gen: &workload.GenSpec{}},
-		Checkpoint: &CheckpointSpec{At: simMs(50)},
-		Artifacts:  []string{ArtifactSnapshot},
+		Scenario:  ScenarioSynthetic,
+		Dur:       simMs(100),
+		Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
 	}
-	_, err := Execute(context.Background(), spec)
+	sys := buildSynSystem(spec, StreamOptions{})
+	defer sys.sim.Shutdown()
+	if err := sys.sim.Start(simMs(40).Sim()); err != nil {
+		t.Fatal(err)
+	}
+	id, er := sys.k.CreTsk("closure", 1, func(*tkernel.Task) {
+		for {
+			sys.k.DlyTsk(sysc.Ms)
+		}
+	})
+	if er != tkernel.EOK {
+		t.Fatalf("CreTsk: %v", er)
+	}
+	if er := sys.k.StaTsk(id); er != tkernel.EOK {
+		t.Fatalf("StaTsk: %v", er)
+	}
+	if err := sys.sim.Start(simMs(10).Sim()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := snapshot.Capture(sys.snapSystem())
 	if !errors.Is(err, snapshot.ErrUnsnapshottable) {
 		t.Fatalf("goroutine capture: got %v, want ErrUnsnapshottable", err)
 	}
@@ -167,7 +177,6 @@ func TestSnapshotResumeCorruptRejected(t *testing.T) {
 	spec := Spec{
 		Scenario:   ScenarioSynthetic,
 		Dur:        simMs(100),
-		Engine:     opts.EngineContinuation,
 		Synthetic:  &SyntheticSpec{Gen: &workload.GenSpec{}},
 		Checkpoint: &CheckpointSpec{At: simMs(50)},
 		Artifacts:  []string{ArtifactSnapshot},
@@ -195,7 +204,6 @@ func TestWarmSweepMatchesCold(t *testing.T) {
 			Scenario:  ScenarioSynthetic,
 			Seed:      11,
 			Dur:       simMs(150),
-			Engine:    opts.EngineContinuation,
 			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{Interrupts: 2}},
 			Artifacts: arts,
 		},
@@ -231,9 +239,51 @@ func TestWarmSweepMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmSweepGoroutineFallsBackCold: a goroutine-engine base is outside
-// the snapshot envelope; warm mode must transparently produce the cold
-// results instead of failing.
+// TestWarmSweepDefaultSpecTakesWarmPath: a sweep whose base Spec leaves the
+// engine field out is inside the snapshot envelope — the prefix system
+// captures, and the warm sweep (which has no cold fallback) forks every
+// variant byte-identical to its cold run.
+func TestWarmSweepDefaultSpecTakesWarmPath(t *testing.T) {
+	arts := []string{ArtifactMetrics, ArtifactTaskSet}
+	sw := SweepSpec{
+		Base: Spec{
+			Scenario:  ScenarioSynthetic,
+			Seed:      5,
+			Dur:       simMs(100),
+			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
+			Artifacts: arts,
+		},
+		Prefix:  simMs(40),
+		Seeds:   []uint64{1, 2},
+		Workers: 1,
+	}
+	sys := buildSynSystem(sw.Base, StreamOptions{})
+	defer sys.sim.Shutdown()
+	if err := sys.sim.Start(sw.Prefix.Sim()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.Capture(sys.snapSystem()); err != nil {
+		t.Fatalf("default-spec prefix does not capture: %v", err)
+	}
+
+	cold, err := ExecuteSweep(context.Background(), sw)
+	if err != nil {
+		t.Fatalf("cold sweep: %v", err)
+	}
+	sw.Warm = true
+	warm, err := ExecuteSweep(context.Background(), sw)
+	if err != nil {
+		t.Fatalf("warm sweep: %v", err)
+	}
+	for i := range sw.Seeds {
+		compareArtifacts(t, fmt.Sprintf("seed%d", sw.Seeds[i]), cold[i], warm[i], arts)
+	}
+}
+
+// TestWarmSweepGoroutineFallsBackCold: a base Spec that still spells the
+// retired goroutine engine must, in warm mode, transparently produce the
+// cold results instead of failing. The field is ignored, so the sweep now
+// forks warm; its output is the cold output byte for byte.
 func TestWarmSweepGoroutineFallsBackCold(t *testing.T) {
 	arts := []string{ArtifactMetrics, ArtifactTaskSet}
 	sw := SweepSpec{
@@ -241,7 +291,7 @@ func TestWarmSweepGoroutineFallsBackCold(t *testing.T) {
 			Scenario:  ScenarioSynthetic,
 			Seed:      5,
 			Dur:       simMs(100),
-			Engine:    opts.EngineGoroutine,
+			Engine:    "goroutine",
 			Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
 			Artifacts: arts,
 		},
@@ -256,7 +306,7 @@ func TestWarmSweepGoroutineFallsBackCold(t *testing.T) {
 	sw.Warm = true
 	warm, err := ExecuteSweep(context.Background(), sw)
 	if err != nil {
-		t.Fatalf("warm sweep (fallback): %v", err)
+		t.Fatalf("warm sweep: %v", err)
 	}
 	for i := range sw.Seeds {
 		compareArtifacts(t, fmt.Sprintf("seed%d", sw.Seeds[i]), cold[i], warm[i], arts)

@@ -11,27 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine selects the process engine backing T-THREADs. The goroutine
-// engine parks each T-THREAD body on its own goroutine (the reference
-// implementation); the continuation engine compiles bodies to resumable
-// state machines driven inline by the scheduler loop, with zero channel
-// operations per context switch. Both produce byte-identical artifacts.
-const (
-	// EngineGoroutine is the goroutine-per-thread reference engine (the
-	// default; also selected by an empty Engine).
-	EngineGoroutine = "goroutine"
-	// EngineContinuation is the single-goroutine continuation engine.
-	EngineContinuation = "continuation"
-)
-
 // CommonOptions is the knob set every kernel build shares. Each embedding
 // Config documents which fields it honors; a zero value always means "model
 // default".
 type CommonOptions struct {
-	// Engine selects the T-THREAD process engine: EngineGoroutine (default,
-	// also the empty string) or EngineContinuation. Builds that compile
-	// their bodies onto the program IR honor it; plain closure bodies always
-	// run on the goroutine engine.
+	// Engine is ignored; it remains so existing callers compile. A body's
+	// type picks its engine: tkernel.Program bodies run as compiled
+	// machines, Go closure bodies on goroutines.
 	Engine string
 	// Tick is the system-clock resolution. For tkernel and rtk this is the
 	// kernel tick (default 1 ms); for app it sets the BFM real-time clock

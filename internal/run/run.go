@@ -81,7 +81,7 @@ const (
 	// for generated sets, the concrete draw — as indented JSON (synthetic).
 	ArtifactTaskSet = "taskset.json"
 	// ArtifactSnapshot is the versioned binary kernel snapshot captured at
-	// Checkpoint.At (synthetic, continuation engine only). Feed it back via
+	// Checkpoint.At (synthetic only). Feed it back via
 	// Checkpoint.ResumeFrom to continue the run without re-simulating the
 	// prefix.
 	ArtifactSnapshot = "snapshot.bin"
@@ -101,10 +101,10 @@ type Spec struct {
 	// Seed drives every random draw of the run (synthetic user input,
 	// chaos schedules, sweep points). 0 is the fixed legacy pattern.
 	Seed uint64 `json:"seed,omitempty"`
-	// Engine selects the T-THREAD execution engine: "goroutine" (the
-	// reference engine, the default) or "continuation" (step-function
-	// bodies driven inline by the scheduler loop — same artifacts, no
-	// goroutine per thread). Videogame and chaos scenarios.
+	// Engine is accepted and ignored: the retired T-THREAD engine knob.
+	// "", "goroutine" and "continuation" validate (and hash alike, see
+	// Canonicalize) so older clients keep working; any other value is
+	// rejected.
 	Engine string `json:"engine,omitempty"`
 	// Deadline caps the run's wall-clock time: when it expires the
 	// simulation stops at the next quiescent point and Execute returns
@@ -321,10 +321,9 @@ func Validate(spec Spec) error {
 		}
 	}
 	switch spec.Engine {
-	case "", opts.EngineGoroutine, opts.EngineContinuation:
+	case "", "goroutine", "continuation": // spellings of the retired knob
 	default:
-		return fmt.Errorf("run: unknown engine %q (want %q or %q)",
-			spec.Engine, opts.EngineGoroutine, opts.EngineContinuation)
+		return fmt.Errorf("run: unknown engine %q (the field is ignored; omit it)", spec.Engine)
 	}
 	if spec.Scenario == ScenarioChaos && wants(spec, ArtifactTrace) &&
 		(spec.Chaos == nil || spec.Chaos.Job == nil) {

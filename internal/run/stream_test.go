@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/run/opts"
 	"repro/internal/workload"
 )
 
@@ -36,12 +35,14 @@ func streamSpecs() []struct {
 }
 
 // TestStreamByteIdentical is the tentpole contract: for the same Spec, a
-// streamed artifact is byte-identical to its buffered twin — on both
-// T-THREAD engines, and with a progress observer attached (the observer
-// pauses the run at quiescent points; the pause must be unobservable).
+// streamed artifact is byte-identical to its buffered twin, with a
+// progress observer attached (the observer pauses the run at quiescent
+// points; the pause must be unobservable). Each case runs under both
+// spellings of the retired engine knob, which old clients still send and
+// which are accepted and ignored.
 func TestStreamByteIdentical(t *testing.T) {
 	for _, tc := range streamSpecs() {
-		for _, engine := range []string{opts.EngineGoroutine, opts.EngineContinuation} {
+		for _, engine := range []string{"goroutine", "continuation"} {
 			t.Run(tc.label+"/"+engine, func(t *testing.T) {
 				spec := tc.spec
 				spec.Engine = engine

@@ -84,7 +84,6 @@ func buildSynSystem(spec Spec, o StreamOptions) *synSystem {
 
 	s.sim = sysc.NewSimulator()
 	kcfg := tkernel.Config{Costs: tkernel.DefaultCosts()}
-	kcfg.Engine = spec.Engine
 	kcfg.Tick = spec.Tick.Sim()
 	kcfg.DisableTickless = !boolOr(spec.Tickless, true)
 	kcfg.Bus = s.bus
@@ -195,9 +194,8 @@ func (s *synSystem) encodeSnapshot() ([]byte, error) {
 		return nil, err
 	}
 	return snapshot.Encode(s.snapSystem(), st, snapshot.Meta{
-		Engine: s.k.Engine(),
-		At:     int64(s.sim.Now()),
-		Spec:   specJSON,
+		At:   int64(s.sim.Now()),
+		Spec: specJSON,
 	})
 }
 

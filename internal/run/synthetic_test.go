@@ -4,31 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/workload"
 )
-
-// TestEngineDiffSynthetic runs 10 generated task sets on both T-THREAD
-// engines and asserts the Perfetto trace, metrics report and resolved
-// task-set artifacts are byte-identical — the acceptance criterion of the
-// synthetic scenario.
-func TestEngineDiffSynthetic(t *testing.T) {
-	arts := []string{ArtifactTrace, ArtifactMetrics, ArtifactTaskSet}
-	for seed := uint64(0); seed < 10; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			diffArtifacts(t, fmt.Sprintf("seed %d", seed), Spec{
-				Scenario:  ScenarioSynthetic,
-				Seed:      seed,
-				Dur:       simMs(200),
-				Synthetic: &SyntheticSpec{Gen: &workload.GenSpec{}},
-				Artifacts: arts,
-			})
-		})
-	}
-}
 
 // TestSyntheticInlineTaskSet runs a hand-written TaskSet end to end and
 // checks the run produced actual scheduling activity plus the resolved

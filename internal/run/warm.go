@@ -2,7 +2,6 @@ package run
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -30,8 +29,7 @@ type SweepSpec struct {
 	// Workers sizes the pool (0 = GOMAXPROCS; never affects results).
 	Workers int `json:"workers,omitempty"`
 	// Warm forks variants from in-memory checkpoints instead of re-running
-	// the prefix per seed. Falls back to cold per-seed runs when the
-	// configuration is outside the snapshot envelope (goroutine engine).
+	// the prefix per seed.
 	Warm bool `json:"warm,omitempty"`
 }
 
@@ -139,17 +137,6 @@ func warmChunk(ctx context.Context, sw SweepSpec, base Spec, seeds []uint64, out
 		return err
 	}
 	st, err := snapshot.Capture(sys.snapSystem())
-	if errors.Is(err, snapshot.ErrUnsnapshottable) {
-		// Outside the snapshot envelope: run this chunk cold instead.
-		for i, seed := range seeds {
-			res, e := Execute(ctx, coldSpec(base, sw.Prefix, seed))
-			if e != nil {
-				return e
-			}
-			out[i] = res
-		}
-		return nil
-	}
 	if err != nil {
 		return err
 	}

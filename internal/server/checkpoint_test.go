@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/run"
-	"repro/internal/run/opts"
 	"repro/internal/workload"
 )
 
@@ -23,7 +22,6 @@ func TestResumeFromOverHTTP(t *testing.T) {
 		Scenario:  run.ScenarioSynthetic,
 		Dur:       run.Duration(100 * time.Millisecond),
 		Seed:      9,
-		Engine:    opts.EngineContinuation,
 		Synthetic: &run.SyntheticSpec{Gen: &workload.GenSpec{Interrupts: 2}},
 		Artifacts: arts,
 	}

@@ -324,6 +324,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Snapshot the admission view and announce the queued state before a
+	// worker can claim the job: once submitted, runJob may already have
+	// moved it to running.
+	view := s.queuedView(job)
 	err = s.pool.TrySubmit(func(int) { s.runJob(job, jctx, flight) })
 	if err != nil {
 		s.mu.Lock()
@@ -348,10 +352,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.submitted++
+	s.mu.Unlock()
+	s.respondAcceptedView(w, view)
+}
+
+// queuedView snapshots a job about to enter the worker pool and publishes
+// its queued state event.
+func (s *Server) queuedView(job *Job) JobView {
+	s.mu.Lock()
 	view := viewOf(job)
 	s.mu.Unlock()
 	s.event(job, Event{Type: EventState, State: StateQueued})
-	s.respondAcceptedView(w, view)
+	return view
 }
 
 // submitStream admits a streaming job. It bypasses singleflight — every
@@ -372,6 +384,7 @@ func (s *Server) submitStream(w http.ResponseWriter, job *Job, jctx context.Cont
 			return
 		}
 	}
+	view := s.queuedView(job)
 	if err := s.pool.TrySubmit(func(int) { s.runJob(job, jctx, nil) }); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, job.ID)
@@ -394,9 +407,7 @@ func (s *Server) submitStream(w http.ResponseWriter, job *Job, jctx context.Cont
 	s.mu.Lock()
 	s.submitted++
 	s.streamJobs++
-	view := viewOf(job)
 	s.mu.Unlock()
-	s.event(job, Event{Type: EventState, State: StateQueued})
 	s.respondAcceptedView(w, view)
 }
 

@@ -17,7 +17,7 @@ import (
 // simulations encode byte-identically, which is what makes replay-based
 // Verify a real integrity check.
 //
-// Layout: header (magic, version, engine, capture time, producer Spec
+// Layout: header (magic, version, engine tag, capture time, producer Spec
 // JSON), then the sysc section, the SIM_API section, the kernel section
 // and the workload section. Observer state is not encoded — a restore
 // from bytes replays construction, which regenerates observer content
@@ -30,15 +30,20 @@ var magic = [8]byte{'R', 'T', 'K', 'S', 'N', 'A', 'P', '1'}
 // Version is the binary snapshot format version.
 const Version uint32 = 1
 
+// engineTag is the header's engine string. Snapshots were only ever
+// captured from compiled T-THREAD bodies, which earlier builds named the
+// "continuation" engine; the tag keeps that spelling so every RTKSNAP1
+// snapshot stays readable without a version bump.
+const engineTag = "continuation"
+
 // relNil marks a nil release code on the wire (release codes are
 // otherwise T-Kernel ER values, all small negatives).
 const relNil = math.MinInt32
 
 // Meta is the snapshot header: what produced it and where it stops.
 type Meta struct {
-	Engine string
-	At     int64 // capture time, sysc picoseconds
-	Spec   []byte // canonical producer Spec JSON, for replay
+	At   int64  // capture time, sysc picoseconds
+	Spec []byte // canonical producer Spec JSON, for replay
 }
 
 type enc struct{ b bytes.Buffer }
@@ -97,7 +102,7 @@ func Encode(sys System, st *State, meta Meta) ([]byte, error) {
 	e := &enc{}
 	e.b.Write(magic[:])
 	e.u32(Version)
-	e.str(meta.Engine)
+	e.str(engineTag)
 	e.i64(int64(st.At))
 	e.blob(meta.Spec)
 
@@ -360,6 +365,9 @@ func DecodeMeta(data []byte) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
+	if engine != engineTag {
+		return Meta{}, fmt.Errorf("%w: snapshot engine %q (this build reads %q)", ErrIncompatible, engine, engineTag)
+	}
 	if off+8 > len(data) {
 		return Meta{}, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
@@ -369,7 +377,7 @@ func DecodeMeta(data []byte) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
-	return Meta{Engine: engine, At: at, Spec: spec}, nil
+	return Meta{At: at, Spec: spec}, nil
 }
 
 func readBlob(data []byte, off int) ([]byte, int, error) {
@@ -397,9 +405,6 @@ func Verify(sys System, data []byte) error {
 	meta, err := DecodeMeta(data)
 	if err != nil {
 		return err
-	}
-	if eng := sys.Kernel.Engine(); eng != meta.Engine {
-		return fmt.Errorf("%w: snapshot engine %q, system runs %q", ErrIncompatible, meta.Engine, eng)
 	}
 	st, err := Capture(sys)
 	if err != nil {

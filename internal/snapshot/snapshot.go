@@ -14,11 +14,11 @@
 //     Spec, runs it to the capture time, and Verify re-captures and
 //     byte-compares, so a successful restore is self-checking.
 //
-// The snapshot envelope is the continuation T-THREAD engine: goroutine
-// engines park real stacks that cannot be copied, so Capture refuses
-// them (ErrUnsnapshottable) and callers fall back to a cold run. The
-// same applies to kernel object classes whose state roots in caller
-// memory (mailboxes, memory pools, rendezvous).
+// The snapshot envelope is compiled T-THREAD bodies: a goroutine-backed
+// closure body active at the capture point parks a real stack that cannot
+// be copied, so Capture refuses it (ErrUnsnapshottable). The same applies
+// to kernel object classes whose state roots in caller memory (mailboxes,
+// memory pools, rendezvous).
 package snapshot
 
 import (
@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/run/opts"
 	"repro/internal/sysc"
 	"repro/internal/tkernel"
 	"repro/internal/trace"
@@ -39,11 +38,11 @@ import (
 // carry detail.
 var (
 	// ErrUnsnapshottable: the configuration is outside the snapshot
-	// envelope (goroutine engine, unsupported kernel objects, a goroutine
-	// thread mid-body). Callers fall back to cold execution.
+	// envelope (unsupported kernel objects, a goroutine-backed closure
+	// body mid-run).
 	ErrUnsnapshottable = errors.New("snapshot: configuration cannot be snapshotted")
-	// ErrIncompatible: the snapshot is from a different format version or
-	// engine than the restoring side.
+	// ErrIncompatible: the snapshot is from a different format version
+	// than the restoring side.
 	ErrIncompatible = errors.New("snapshot: incompatible snapshot")
 	// ErrCorrupt: the snapshot bytes fail structural checks, or the
 	// replayed system does not reproduce them.
@@ -88,9 +87,6 @@ type State struct {
 func Capture(sys System) (*State, error) {
 	if sys.Sim == nil || sys.Kernel == nil || sys.Inst == nil {
 		return nil, fmt.Errorf("snapshot: incomplete system (sim/kernel/instance required)")
-	}
-	if eng := sys.Kernel.Engine(); eng != opts.EngineContinuation {
-		return nil, fmt.Errorf("%w: engine %q (goroutine stacks cannot be copied)", ErrUnsnapshottable, eng)
 	}
 	st := &State{At: sys.Sim.Now()}
 	var err error

@@ -18,11 +18,10 @@ import "fmt"
 // verifies the thread is still parked on exactly that wait set — meaning
 // its goroutine has not moved since the capture, so its stack needs no
 // rewinding at all. A thread that advanced between capture and restore
-// (anything the goroutine engine dispatches) fails the check and the load
-// is refused; callers fall back to a cold run. The continuation engine
-// exists precisely so that hot-path configurations have no moving
-// goroutine threads — only pinned ones (the INIT boot task parked forever
-// at the top of its cycle).
+// (anything a goroutine closure body dispatches) fails the check and the
+// load is refused. Compiled bodies run as coroutines precisely so that
+// hot-path configurations have no moving goroutine threads — only pinned
+// ones (the INIT boot task parked forever at the top of its cycle).
 //
 // LoadState writes a captured state back into the *same* construction.
 // Pointer identities (events, coroutines, closures) are stable across one

@@ -221,11 +221,6 @@ func (k *Kernel) Sim() *sysc.Simulator { return k.sim }
 // Tick returns the configured system-clock resolution.
 func (k *Kernel) Tick() sysc.Time { return k.cfg.Tick }
 
-// Engine returns the configured T-THREAD engine (opts.EngineGoroutine or
-// opts.EngineContinuation), so system builders outside the kernel can pick
-// the matching device-model process style.
-func (k *Kernel) Engine() string { return k.cfg.Engine }
-
 // Ticks returns the number of system ticks processed so far.
 func (k *Kernel) Ticks() uint64 { return k.ticks }
 
@@ -438,7 +433,7 @@ func (k *Kernel) blockCheck(tmout TMO) (*Task, ER) {
 
 // armedWait is a committed-but-not-yet-blocked wait: the task is on its
 // object's wait queue with the timeout armed, and the caller must complete
-// the wait (block on obj, then endSleep) on its engine's blocking path.
+// the wait (block on obj, then endSleep) on its body's blocking path.
 // Each Task embeds one (a task waits on at most one object), so arming a
 // wait never allocates.
 type armedWait struct {
@@ -449,7 +444,8 @@ type armedWait struct {
 // armSleep is the first half of sleepOn: it commits the calling task to a
 // wait (seq-based timeout invalidation guarantees a stale timeout never
 // releases a newer wait of the same task) and returns the armed wait for
-// the engine-specific blocking path to complete.
+// the body-specific blocking path to complete: finish for closure bodies,
+// StepBlock for compiled programs.
 func (k *Kernel) armSleep(task *Task, obj string, tmout TMO, cancel func()) *armedWait {
 	task.waitSeq++
 	seq := task.waitSeq
@@ -479,12 +475,12 @@ func (k *Kernel) endSleep(task *Task, err error) ER {
 	return erOf(err)
 }
 
-// finish completes a split service body on the goroutine engine. A body
-// that did not arm a wait just yields its code; one that did is blocked
-// here with the service's dispatch lock released around the wait
+// finish completes a split service body called from a closure body. A
+// body that did not arm a wait just yields its code; one that did is
+// blocked here with the service's dispatch lock released around the wait
 // (atomicity covers the call body up to the block) and re-acquired
-// afterwards. The continuation engine's machine replaces this with
-// StepBlock at the same point.
+// afterwards. A compiled program's machine replaces this with StepBlock at
+// the same point.
 func (k *Kernel) finish(er ER, aw *armedWait) ER {
 	if aw == nil {
 		return er
@@ -500,12 +496,6 @@ func (k *Kernel) finish(er ER, aw *armedWait) ER {
 // step, for services that are not split onto the program IR).
 func (k *Kernel) sleepOn(task *Task, obj string, tmout TMO, cancel func()) ER {
 	return k.finish(EOK, k.armSleep(task, obj, tmout, cancel))
-}
-
-// engineCompiled reports whether this kernel compiles program-IR bodies to
-// continuation machines instead of interpreting them on goroutines.
-func (k *Kernel) engineCompiled() bool {
-	return k.cfg.Engine == opts.EngineContinuation
 }
 
 // wake releases a waiting task with the given code, invalidating its

@@ -87,7 +87,7 @@ func (k *Kernel) GetMpf(id ID, tmout TMO) (_ *MemBlock, er ER) {
 	return got, er
 }
 
-// getMpfBody is the engine-split call body of GetMpf: the block is
+// getMpfBody is the split call body of GetMpf: the block is
 // delivered through dst (nil on error paths).
 func (k *Kernel) getMpfBody(id ID, tmout TMO, dst **MemBlock) (ER, *armedWait) {
 	p, ok := k.mpfs[id]
@@ -130,7 +130,7 @@ func (k *Kernel) RelMpf(id ID, b *MemBlock) (er ER) {
 	return k.relMpfBody(id, b)
 }
 
-// relMpfBody is the engine-split call body of RelMpf.
+// relMpfBody is the split call body of RelMpf.
 func (k *Kernel) relMpfBody(id ID, b *MemBlock) ER {
 	p, ok := k.mpfs[id]
 	if !ok {
@@ -298,7 +298,7 @@ func (k *Kernel) GetMpl(id ID, size int, tmout TMO) (_ *MemBlock, er ER) {
 	return got, er
 }
 
-// getMplBody is the engine-split call body of GetMpl: the block is
+// getMplBody is the split call body of GetMpl: the block is
 // delivered through dst (nil on error paths).
 func (k *Kernel) getMplBody(id ID, size int, tmout TMO, dst **MemBlock) (ER, *armedWait) {
 	p, ok := k.mpls[id]
@@ -336,7 +336,7 @@ func (k *Kernel) RelMpl(id ID, b *MemBlock) (er ER) {
 	return k.relMplBody(id, b)
 }
 
-// relMplBody is the engine-split call body of RelMpl.
+// relMplBody is the split call body of RelMpl.
 func (k *Kernel) relMplBody(id ID, b *MemBlock) ER {
 	p, ok := k.mpls[id]
 	if !ok {

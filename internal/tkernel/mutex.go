@@ -76,7 +76,7 @@ func (k *Kernel) LocMtx(id ID, tmout TMO) (er ER) {
 	return k.finish(k.locMtxBody(id, tmout))
 }
 
-// locMtxBody is the engine-split call body of LocMtx.
+// locMtxBody is the split call body of LocMtx.
 func (k *Kernel) locMtxBody(id ID, tmout TMO) (ER, *armedWait) {
 	m, ok := k.mtxs[id]
 	if !ok {
@@ -124,7 +124,7 @@ func (k *Kernel) UnlMtx(id ID) (er ER) {
 	return k.unlMtxBody(id)
 }
 
-// unlMtxBody is the engine-split call body of UnlMtx.
+// unlMtxBody is the split call body of UnlMtx.
 func (k *Kernel) unlMtxBody(id ID) ER {
 	m, ok := k.mtxs[id]
 	if !ok {

@@ -10,35 +10,28 @@ import (
 )
 
 // This file is the program IR: task and handler bodies expressed as a flat
-// list of operations instead of a Go closure. A program runs on either
-// T-THREAD engine from one source of truth:
-//
-//   - the goroutine engine interprets it, issuing the ordinary public
-//     service calls (interpret);
-//   - the continuation engine compiles it to a resumable machine driven
-//     inline by the scheduler loop (progMachine), where every service call
-//     is re-expressed through the Step* primitives and the engine-split
-//     xxxBody halves of the services.
-//
-// Both paths traverse the identical kernel bookkeeping in the identical
-// order, so a program produces byte-identical traces, metrics and gantt
-// artifacts on either engine.
+// list of operations instead of a Go closure. The kernel compiles a program
+// to a resumable machine driven inline by the scheduler loop (progMachine):
+// every service call is re-expressed through the Step* primitives and the
+// split xxxBody halves of the services, traversing the same kernel
+// bookkeeping in the same order as the public call from a closure body.
+// Execution time enters a program only through Work and Access ops, which
+// the machine steps with StepConsume, so a body never parks inside Go code.
 
 // opKind discriminates program operations.
 type opKind uint8
 
 const (
 	opAtom opKind = iota // run an instantaneous side effect
-	opWork               // consume application time/energy (k.Work / ctx.Work)
+	opWork               // consume time/energy in ctx (Work, Access charges)
 	opSvc                // issue one kernel service call
 	opJump               // unconditional branch
 	opBr                 // conditional branch
 	opExit               // end the body (the closure's return)
 )
 
-// progOp is one program operation. Service ops carry both engine faces:
-// call issues the public service (goroutine interpreter), try runs the
-// engine-split body and may hand back an armed wait for the machine's
+// progOp is one program operation. A service op's try runs the split body
+// of the service and may hand back an armed wait for the machine's
 // StepBlock to complete.
 type progOp struct {
 	kind opKind
@@ -47,8 +40,7 @@ type progOp struct {
 	run  func()                           // opAtom
 	cost core.Cost                        // opWork
 	ctx  trace.Context                    // opWork
-	call func(k *Kernel) ER               // opSvc, goroutine engine
-	try  func(k *Kernel) (ER, *armedWait) // opSvc, continuation engine
+	try  func(k *Kernel) (ER, *armedWait) // opSvc
 	post func(ER) ER                      // opSvc, optional code remap
 	er   *ER                              // opSvc, optional result out
 
@@ -67,7 +59,6 @@ type Program struct {
 	ops       []progOp
 	labels    map[string]int
 	finalized bool
-	hasIo     bool // an AtomIo op is present: body needs the goroutine engine
 }
 
 // NewProgram starts a task-body program: Work ops are charged in task
@@ -111,22 +102,21 @@ func (p *Program) add(op progOp) *Program {
 
 // Atom appends an instantaneous side effect (plain Go between service
 // calls: state updates, condition latching). The closure must not consume
-// execution time — BFM accesses and other nested SIM_Wait points belong in
-// AtomIo.
+// execution time: BFM accesses belong in Access ops.
 func (p *Program) Atom(fn func()) *Program {
 	return p.add(progOp{kind: opAtom, run: fn})
 }
 
-// AtomIo appends a side effect whose closure consumes execution time
-// internally — BFM port accesses, widget raster work, anything reaching
-// TThread.Consume outside a Work op. Such nested consumes are parking
-// preemption points the inline machine cannot resume through, so a body
-// containing an AtomIo runs on the reference goroutine engine even when the
-// kernel is configured for the continuation engine (the fallback is
-// per-body: sibling IO-free bodies still compile).
-func (p *Program) AtomIo(fn func()) *Program {
-	p.hasIo = true
-	return p.add(progOp{kind: opAtom, run: fn})
+// Access appends one bus-functional-model handshake as data: the access
+// first charges its cycle budget c in the BFM trace context under note,
+// stepped like a Work op (a preemption point), then runs effect, the
+// uncharged half of the access (a port write, a serial send). Values the
+// effect depends on that other threads may change meanwhile must be
+// latched by an Atom before the Access, as the charging call's argument
+// would be.
+func (p *Program) Access(c core.Cost, note string, effect func()) *Program {
+	p.add(progOp{kind: opWork, name: note, cost: c, ctx: trace.CtxBFM})
+	return p.Atom(effect)
 }
 
 // Work appends an application execution-time/energy annotation (k.Work in
@@ -157,14 +147,8 @@ func (p *Program) Exit() *Program {
 }
 
 // svc appends a service op.
-func (p *Program) svc(name string, call func(k *Kernel) ER,
-	try func(k *Kernel) (ER, *armedWait), post func(ER) ER, er *ER) *Program {
-	return p.add(progOp{kind: opSvc, name: name, call: call, try: try, post: post, er: er})
-}
-
-// wrap lifts a non-blocking engine-split body into the try signature.
-func wrap(body func(k *Kernel) ER) func(k *Kernel) (ER, *armedWait) {
-	return func(k *Kernel) (ER, *armedWait) { return body(k), nil }
+func (p *Program) svc(name string, try func(k *Kernel) (ER, *armedWait), post func(ER) ER, er *ER) *Program {
+	return p.add(progOp{kind: opSvc, name: name, try: try, post: post, er: er})
 }
 
 // --- service ops -----------------------------------------------------------
@@ -177,7 +161,6 @@ func wrap(body func(k *Kernel) ER) func(k *Kernel) (ER, *armedWait) {
 // SlpTsk appends tk_slp_tsk.
 func (p *Program) SlpTsk(tmout TMO, er *ER) *Program {
 	return p.svc("tk_slp_tsk",
-		func(k *Kernel) ER { return k.SlpTsk(tmout) },
 		func(k *Kernel) (ER, *armedWait) { return k.slpTskBody(tmout) },
 		nil, er)
 }
@@ -185,7 +168,6 @@ func (p *Program) SlpTsk(tmout TMO, er *ER) *Program {
 // DlyTsk appends tk_dly_tsk.
 func (p *Program) DlyTsk(d sysc.Time, er *ER) *Program {
 	return p.svc("tk_dly_tsk",
-		func(k *Kernel) ER { return k.DlyTsk(d) },
 		func(k *Kernel) (ER, *armedWait) { return k.dlyTskBody(d) },
 		dlyTskPost, er)
 }
@@ -193,7 +175,6 @@ func (p *Program) DlyTsk(d sysc.Time, er *ER) *Program {
 // WupTsk appends tk_wup_tsk.
 func (p *Program) WupTsk(id *ID, er *ER) *Program {
 	return p.svc("tk_wup_tsk",
-		func(k *Kernel) ER { return k.WupTsk(*id) },
 		func(k *Kernel) (ER, *armedWait) { return k.wupTskBody(*id), nil },
 		nil, er)
 }
@@ -201,7 +182,6 @@ func (p *Program) WupTsk(id *ID, er *ER) *Program {
 // RotRdq appends tk_rot_rdq.
 func (p *Program) RotRdq(priority int, er *ER) *Program {
 	return p.svc("tk_rot_rdq",
-		func(k *Kernel) ER { return k.RotRdq(priority) },
 		func(k *Kernel) (ER, *armedWait) { return k.rotRdqBody(priority), nil },
 		nil, er)
 }
@@ -209,7 +189,6 @@ func (p *Program) RotRdq(priority int, er *ER) *Program {
 // SigSem appends tk_sig_sem.
 func (p *Program) SigSem(id *ID, cnt int, er *ER) *Program {
 	return p.svc("tk_sig_sem",
-		func(k *Kernel) ER { return k.SigSem(*id, cnt) },
 		func(k *Kernel) (ER, *armedWait) { return k.sigSemBody(*id, cnt), nil },
 		nil, er)
 }
@@ -217,7 +196,6 @@ func (p *Program) SigSem(id *ID, cnt int, er *ER) *Program {
 // WaiSem appends tk_wai_sem.
 func (p *Program) WaiSem(id *ID, cnt int, tmout TMO, er *ER) *Program {
 	return p.svc("tk_wai_sem",
-		func(k *Kernel) ER { return k.WaiSem(*id, cnt, tmout) },
 		func(k *Kernel) (ER, *armedWait) { return k.waiSemBody(*id, cnt, tmout) },
 		nil, er)
 }
@@ -225,7 +203,6 @@ func (p *Program) WaiSem(id *ID, cnt int, tmout TMO, er *ER) *Program {
 // SetFlg appends tk_set_flg.
 func (p *Program) SetFlg(id *ID, setptn uint32, er *ER) *Program {
 	return p.svc("tk_set_flg",
-		func(k *Kernel) ER { return k.SetFlg(*id, setptn) },
 		func(k *Kernel) (ER, *armedWait) { return k.setFlgBody(*id, setptn), nil },
 		nil, er)
 }
@@ -233,11 +210,6 @@ func (p *Program) SetFlg(id *ID, setptn uint32, er *ER) *Program {
 // WaiFlg appends tk_wai_flg; the release pattern is delivered through ptn.
 func (p *Program) WaiFlg(id *ID, waiptn uint32, mode FlagMode, tmout TMO, ptn *uint32, er *ER) *Program {
 	return p.svc("tk_wai_flg",
-		func(k *Kernel) ER {
-			got, e := k.WaiFlg(*id, waiptn, mode, tmout)
-			*ptn = got
-			return e
-		},
 		func(k *Kernel) (ER, *armedWait) {
 			*ptn = 0
 			return k.waiFlgBody(*id, waiptn, mode, tmout, ptn)
@@ -247,7 +219,6 @@ func (p *Program) WaiFlg(id *ID, waiptn uint32, mode FlagMode, tmout TMO, ptn *u
 // SndMbx appends tk_snd_mbx; the message is read from msg when the op runs.
 func (p *Program) SndMbx(id *ID, msg **Message, er *ER) *Program {
 	return p.svc("tk_snd_mbx",
-		func(k *Kernel) ER { return k.SndMbx(*id, *msg) },
 		func(k *Kernel) (ER, *armedWait) { return k.sndMbxBody(*id, *msg), nil },
 		nil, er)
 }
@@ -255,11 +226,6 @@ func (p *Program) SndMbx(id *ID, msg **Message, er *ER) *Program {
 // RcvMbx appends tk_rcv_mbx; the message is delivered through msg.
 func (p *Program) RcvMbx(id *ID, tmout TMO, msg **Message, er *ER) *Program {
 	return p.svc("tk_rcv_mbx",
-		func(k *Kernel) ER {
-			got, e := k.RcvMbx(*id, tmout)
-			*msg = got
-			return e
-		},
 		func(k *Kernel) (ER, *armedWait) {
 			*msg = nil
 			return k.rcvMbxBody(*id, tmout, msg)
@@ -269,7 +235,6 @@ func (p *Program) RcvMbx(id *ID, tmout TMO, msg **Message, er *ER) *Program {
 // SndMbf appends tk_snd_mbf; the message is read from msg when the op runs.
 func (p *Program) SndMbf(id *ID, msg *[]byte, tmout TMO, er *ER) *Program {
 	return p.svc("tk_snd_mbf",
-		func(k *Kernel) ER { return k.SndMbf(*id, *msg, tmout) },
 		func(k *Kernel) (ER, *armedWait) { return k.sndMbfBody(*id, *msg, tmout) },
 		nil, er)
 }
@@ -277,11 +242,6 @@ func (p *Program) SndMbf(id *ID, msg *[]byte, tmout TMO, er *ER) *Program {
 // RcvMbf appends tk_rcv_mbf; the message is delivered through msg.
 func (p *Program) RcvMbf(id *ID, tmout TMO, msg *[]byte, er *ER) *Program {
 	return p.svc("tk_rcv_mbf",
-		func(k *Kernel) ER {
-			got, e := k.RcvMbf(*id, tmout)
-			*msg = got
-			return e
-		},
 		func(k *Kernel) (ER, *armedWait) {
 			*msg = nil
 			return k.rcvMbfBody(*id, tmout, msg)
@@ -291,11 +251,6 @@ func (p *Program) RcvMbf(id *ID, tmout TMO, msg *[]byte, er *ER) *Program {
 // GetMpf appends tk_get_mpf; the block is delivered through blk.
 func (p *Program) GetMpf(id *ID, tmout TMO, blk **MemBlock, er *ER) *Program {
 	return p.svc("tk_get_mpf",
-		func(k *Kernel) ER {
-			got, e := k.GetMpf(*id, tmout)
-			*blk = got
-			return e
-		},
 		func(k *Kernel) (ER, *armedWait) {
 			*blk = nil
 			return k.getMpfBody(*id, tmout, blk)
@@ -305,7 +260,6 @@ func (p *Program) GetMpf(id *ID, tmout TMO, blk **MemBlock, er *ER) *Program {
 // RelMpf appends tk_rel_mpf; the block is read from blk when the op runs.
 func (p *Program) RelMpf(id *ID, blk **MemBlock, er *ER) *Program {
 	return p.svc("tk_rel_mpf",
-		func(k *Kernel) ER { return k.RelMpf(*id, *blk) },
 		func(k *Kernel) (ER, *armedWait) { return k.relMpfBody(*id, *blk), nil },
 		nil, er)
 }
@@ -313,11 +267,6 @@ func (p *Program) RelMpf(id *ID, blk **MemBlock, er *ER) *Program {
 // GetMpl appends tk_get_mpl; the block is delivered through blk.
 func (p *Program) GetMpl(id *ID, size int, tmout TMO, blk **MemBlock, er *ER) *Program {
 	return p.svc("tk_get_mpl",
-		func(k *Kernel) ER {
-			got, e := k.GetMpl(*id, size, tmout)
-			*blk = got
-			return e
-		},
 		func(k *Kernel) (ER, *armedWait) {
 			*blk = nil
 			return k.getMplBody(*id, size, tmout, blk)
@@ -327,7 +276,6 @@ func (p *Program) GetMpl(id *ID, size int, tmout TMO, blk **MemBlock, er *ER) *P
 // RelMpl appends tk_rel_mpl; the block is read from blk when the op runs.
 func (p *Program) RelMpl(id *ID, blk **MemBlock, er *ER) *Program {
 	return p.svc("tk_rel_mpl",
-		func(k *Kernel) ER { return k.RelMpl(*id, *blk) },
 		func(k *Kernel) (ER, *armedWait) { return k.relMplBody(*id, *blk), nil },
 		nil, er)
 }
@@ -335,7 +283,6 @@ func (p *Program) RelMpl(id *ID, blk **MemBlock, er *ER) *Program {
 // LocMtx appends tk_loc_mtx.
 func (p *Program) LocMtx(id *ID, tmout TMO, er *ER) *Program {
 	return p.svc("tk_loc_mtx",
-		func(k *Kernel) ER { return k.LocMtx(*id, tmout) },
 		func(k *Kernel) (ER, *armedWait) { return k.locMtxBody(*id, tmout) },
 		nil, er)
 }
@@ -343,7 +290,6 @@ func (p *Program) LocMtx(id *ID, tmout TMO, er *ER) *Program {
 // UnlMtx appends tk_unl_mtx.
 func (p *Program) UnlMtx(id *ID, er *ER) *Program {
 	return p.svc("tk_unl_mtx",
-		func(k *Kernel) ER { return k.UnlMtx(*id) },
 		func(k *Kernel) (ER, *armedWait) { return k.unlMtxBody(*id), nil },
 		nil, er)
 }
@@ -352,49 +298,11 @@ func (p *Program) UnlMtx(id *ID, er *ER) *Program {
 // alarm's own ID, assigned after the program is built).
 func (p *Program) StaAlm(id *ID, d sysc.Time, er *ER) *Program {
 	return p.svc("tk_sta_alm",
-		func(k *Kernel) ER { return k.StaAlm(*id, d) },
 		func(k *Kernel) (ER, *armedWait) { return k.staAlmBody(*id, d), nil },
 		nil, er)
 }
 
-// --- goroutine engine: interpreter -----------------------------------------
-
-// interpret runs the program once on the goroutine engine, issuing the
-// ordinary public service calls (full enterSvc/exitSvc machinery).
-func (p *Program) interpret(k *Kernel) {
-	pc := 0
-	for pc < len(p.ops) {
-		op := &p.ops[pc]
-		switch op.kind {
-		case opAtom:
-			op.run()
-			pc++
-		case opWork:
-			if tt := k.api.ExecutingThread(); tt != nil {
-				tt.Consume(op.cost, op.ctx, op.name)
-			}
-			pc++
-		case opSvc:
-			er := op.call(k)
-			if op.er != nil {
-				*op.er = er
-			}
-			pc++
-		case opJump:
-			pc = op.to
-		case opBr:
-			if op.cond() {
-				pc = op.to
-			} else {
-				pc++
-			}
-		case opExit:
-			return
-		}
-	}
-}
-
-// --- continuation engine: compiled machine ---------------------------------
+// --- compiled machine ------------------------------------------------------
 
 // svcPhase tracks where inside one service op a machine is parked.
 type svcPhase uint8
@@ -405,12 +313,12 @@ const (
 	spBlock                   // parked on an armed wait
 )
 
-// progMachine drives a Program as a resumable state machine on the
-// continuation engine (core.CompiledBody). Each service op is re-expressed
-// as the exact phase sequence of the goroutine public service: StepAwaitCPU
-// / LockDispatch / SvcEnter / StepConsume (enterSvc), the engine-split
-// body, then SvcExit / UnlockDispatch (exitSvc) — with StepBlock replacing
-// finish's BlockCurrent when the body armed a wait.
+// progMachine drives a Program as a resumable state machine
+// (core.CompiledBody). Each service op is re-expressed as the exact phase
+// sequence of the public service called from a closure body: StepAwaitCPU
+// / LockDispatch / SvcEnter / StepConsume (enterSvc), the split body, then
+// SvcExit / UnlockDispatch (exitSvc) — with StepBlock replacing finish's
+// BlockCurrent when the body armed a wait.
 type progMachine struct {
 	k    *Kernel
 	p    *Program
@@ -471,7 +379,7 @@ func (m *progMachine) Step(t *core.TThread) core.BodyStep {
 				case core.StepWait:
 					return core.BodyWait
 				case core.StepReset:
-					// The goroutine twin's deferred exitSvc runs during the
+					// A closure body's deferred exitSvc runs during the
 					// reset unwind with the zero-value named er.
 					m.svcExit(t, op.name, EOK)
 					k.api.UnlockDispatch()
@@ -491,10 +399,9 @@ func (m *progMachine) Step(t *core.TThread) core.BodyStep {
 				case core.StepWait:
 					return core.BodyWait
 				case core.StepReset:
-					// The goroutine twin's unwind through a parked service is
-					// the latent unmatched-UnlockDispatch path; the machine
-					// just rewinds (the dispatch lock is not held while
-					// parked).
+					// A closure body's unwind through a parked service is the
+					// latent unmatched-UnlockDispatch path; the machine just
+					// rewinds (the dispatch lock is not held while parked).
 					return m.done(core.BodyReset)
 				}
 				k.api.LockDispatch()
@@ -531,7 +438,7 @@ func (m *progMachine) svcExit(t *core.TThread, name string, er ER) {
 }
 
 // done rewinds the machine for the next activation. Task machines release
-// still-held mutexes first, mirroring the goroutine body's deferred
+// still-held mutexes first, mirroring a closure task body's deferred
 // releaseOwnedMutexes (which runs on normal return and during the reset
 // unwind alike).
 func (m *progMachine) done(st core.BodyStep) core.BodyStep {
@@ -546,10 +453,8 @@ func (m *progMachine) done(st core.BodyStep) core.BodyStep {
 
 // --- creation --------------------------------------------------------------
 
-// CreTskProg creates a task whose body is a program (tk_cre_tsk). On the
-// goroutine engine the program is interpreted by a goroutine body; on the
-// continuation engine it is compiled to a machine driven inline by the
-// scheduler loop.
+// CreTskProg creates a task whose body is a program (tk_cre_tsk), compiled
+// to a machine driven inline by the scheduler loop.
 func (k *Kernel) CreTskProg(name string, priority int, prog *Program) (_ ID, er ER) {
 	k.enterSvc("tk_cre_tsk")
 	defer k.exitSvc("tk_cre_tsk", &er)
@@ -560,32 +465,18 @@ func (k *Kernel) CreTskProg(name string, priority int, prog *Program) (_ ID, er 
 	k.nextTask++
 	id := k.nextTask
 	task := &Task{id: id, k: k, name: name}
-	if k.engineCompiled() && !prog.hasIo {
-		task.tt = k.api.CreateThreadCompiled(name, core.KindTask, priority,
-			&progMachine{k: k, p: prog, task: task})
-	} else {
-		task.tt = k.api.CreateThread(name, core.KindTask, priority, func(tt *core.TThread) {
-			// T-Kernel releases any mutexes a task still holds when it ends,
-			// whether it returns normally or is unwound by tk_ter/ext_tsk.
-			defer k.releaseOwnedMutexes(task)
-			prog.interpret(k)
-		})
-	}
+	task.tt = k.api.CreateThreadCompiled(name, core.KindTask, priority,
+		&progMachine{k: k, p: prog, task: task})
 	task.tt.SetExinf(task)
 	k.tasks[id] = task
 	return id, EOK
 }
 
-// newHandlerThread registers a handler-level T-THREAD running a program on
-// the configured engine.
+// newHandlerThread registers a handler-level T-THREAD running a compiled
+// program.
 func (k *Kernel) newHandlerThread(name string, kind core.Kind, prog *Program) *core.TThread {
 	prog.finalize()
-	if k.engineCompiled() && !prog.hasIo {
-		return k.api.CreateThreadCompiled(name, kind, 0, &progMachine{k: k, p: prog})
-	}
-	return k.api.CreateThread(name, kind, 0, func(tt *core.TThread) {
-		prog.interpret(k)
-	})
+	return k.api.CreateThreadCompiled(name, kind, 0, &progMachine{k: k, p: prog})
 }
 
 // CreCycProg creates a cyclic handler whose body is a program (tk_cre_cyc).

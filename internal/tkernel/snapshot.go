@@ -41,7 +41,7 @@ type TaskSnap struct {
 	AwObj    string
 	Owned    []ID // locked mutexes, acquisition order
 
-	// Compiled program machine resumption state (continuation engine).
+	// Compiled program machine resumption state.
 	HasMachine bool
 	PC         int
 	SP         uint8

@@ -219,7 +219,7 @@ func (k *Kernel) SlpTsk(tmout TMO) (er ER) {
 	return k.finish(k.slpTskBody(tmout))
 }
 
-// slpTskBody is the engine-split call body of SlpTsk.
+// slpTskBody is the split call body of SlpTsk.
 func (k *Kernel) slpTskBody(tmout TMO) (ER, *armedWait) {
 	task, er := k.blockCheck(tmout)
 	if er != EOK {
@@ -243,7 +243,7 @@ func (k *Kernel) WupTsk(id ID) (er ER) {
 	return k.wupTskBody(id)
 }
 
-// wupTskBody is the engine-split call body of WupTsk.
+// wupTskBody is the split call body of WupTsk.
 func (k *Kernel) wupTskBody(id ID) ER {
 	task, ok := k.tasks[id]
 	if !ok {
@@ -286,7 +286,7 @@ func (k *Kernel) DlyTsk(d sysc.Time) (er ER) {
 	return dlyTskPost(k.finish(k.dlyTskBody(d)))
 }
 
-// dlyTskBody is the engine-split call body of DlyTsk.
+// dlyTskBody is the split call body of DlyTsk.
 func (k *Kernel) dlyTskBody(d sysc.Time) (ER, *armedWait) {
 	task, er := k.blockCheck(TmoFevr)
 	if er != EOK {
@@ -417,7 +417,7 @@ func (k *Kernel) RotRdq(priority int) (er ER) {
 	return k.rotRdqBody(priority)
 }
 
-// rotRdqBody is the engine-split call body of RotRdq.
+// rotRdqBody is the split call body of RotRdq.
 func (k *Kernel) rotRdqBody(priority int) ER {
 	if priority == 0 {
 		if cur := k.api.Current(); cur != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/run/opts"
 	"repro/internal/sweep"
 	"repro/internal/sysc"
 	"repro/internal/tkernel"
@@ -47,7 +46,7 @@ type Instance struct {
 	// restore them (see state.go).
 	scratches  []*opScratch // per task, declaration order
 	samplers   []*sampler   // per interrupt source, declaration order
-	devStarted []*bool      // device-coro frame flags; nil on the goroutine engine
+	devStarted []*bool      // device-coro frame flags
 }
 
 // Activations returns the total completed task-body activations, the
@@ -62,7 +61,7 @@ func (in *Instance) Activations() uint64 { return in.activations }
 //
 // The caller starts the simulator afterwards; everything that happens from
 // then on — including Poisson/Gamma interrupt schedules — is a pure
-// function of (ts, seed) and identical on both T-THREAD engines.
+// function of (ts, seed).
 func Build(sim *sysc.Simulator, k *tkernel.Kernel, ts *TaskSet, seed uint64) *Instance {
 	in := &Instance{TS: ts}
 
@@ -179,33 +178,22 @@ func Build(sim *sysc.Simulator, k *tkernel.Kernel, ts *TaskSet, seed uint64) *In
 		}
 	})
 
-	// Device models: one seeded process per interrupt source, raising it on
-	// the sampled arrival schedule. Both engine variants draw gaps in the
-	// same per-source order, so raise instants are engine-independent.
+	// Device models: one seeded step-function coroutine per interrupt
+	// source, raising it on the sampled arrival schedule.
 	for ii := range ts.Interrupts {
 		irq := ts.Interrupts[ii]
 		s := newSampler(irq.Arrival, sweep.NewRNG(sweep.Seed(seed, arrivalStreamBase+ii)))
 		in.samplers = append(in.samplers, s)
 		name := "wl.device." + irq.Name
-		if k.Engine() == opts.EngineContinuation {
-			started := new(bool)
-			in.devStarted = append(in.devStarted, started)
-			sim.SpawnCoro(name, func(c *sysc.Coro) {
-				if *started {
-					_ = k.RaiseInterrupt(irq.IntNo)
-				}
-				*started = true
-				c.Wait(s.next())
-			})
-		} else {
-			in.devStarted = append(in.devStarted, nil)
-			sim.Spawn(name, func(th *sysc.Thread) {
-				for {
-					th.Wait(s.next())
-					_ = k.RaiseInterrupt(irq.IntNo)
-				}
-			})
-		}
+		started := new(bool)
+		in.devStarted = append(in.devStarted, started)
+		sim.SpawnCoro(name, func(c *sysc.Coro) {
+			if *started {
+				_ = k.RaiseInterrupt(irq.IntNo)
+			}
+			*started = true
+			c.Wait(s.next())
+		})
 	}
 
 	return in

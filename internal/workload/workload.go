@@ -5,11 +5,9 @@
 // and stochastic interrupt sources — plus a seeded generator that draws
 // random-but-valid task sets from a small parameter spec.
 //
-// A TaskSet is declarative and engine-agnostic: Build lowers it onto a
-// kernel through the tkernel Program IR (CreTskProg / CreCycProg /
-// CreAlmProg / DefIntProg), so the same set runs on the goroutine and the
-// continuation T-THREAD engines with byte-identical trace and metrics
-// artifacts. Everything stochastic (generator draws, Poisson/Gamma
+// A TaskSet is declarative: Build lowers it onto a kernel through the
+// tkernel Program IR (CreTskProg / CreCycProg / CreAlmProg / DefIntProg),
+// so every task and handler body runs as a compiled machine. Everything stochastic (generator draws, Poisson/Gamma
 // interrupt arrivals) comes from seeded sweep.RNG streams, so a TaskSet —
 // and every artifact of its run — is a pure function of (spec, seed).
 package workload
@@ -205,7 +203,7 @@ type Interrupt struct {
 
 // Arrival is a seeded, deterministic arrival process. The raise instants
 // are a pure function of (run seed, source index, Arrival): equal specs
-// replay identical interrupt schedules on either engine.
+// replay identical interrupt schedules.
 type Arrival struct {
 	// Kind is ArrivalPeriodic, ArrivalPoisson or ArrivalGamma.
 	Kind string `json:"kind"`
