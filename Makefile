@@ -1,6 +1,6 @@
 # Build, verify, and benchmark the RTK-Spec TRON reproduction.
 #
-#   make check   - tier-1 gate: vet + build + tests + race detector
+#   make check   - tier-1 gate: gofmt + vet + build + tests + race detector
 #   make bench   - co-simulation speed benchmark -> BENCH_sysc.json
 #   make bench-all  - every benchmark, no JSON capture
 #   make golden  - golden-digest determinism gate, plain and under -race
@@ -18,7 +18,10 @@ build:
 test:
 	$(GO) test ./...
 
+# Fails on any Go file gofmt would change, then runs go vet.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 race:

@@ -82,11 +82,11 @@ func main() {
 			dir = filepath.Join(dir, name)
 		}
 		return server.Config{
-			Name:         name,
-			Workers:      *workers,
-			Queue:        *queue,
-			MaxJobTime:   *maxJobTime,
-			MaxJobs:      *maxJobs,
+			Name:              name,
+			Workers:           *workers,
+			Queue:             *queue,
+			MaxJobTime:        *maxJobTime,
+			MaxJobs:           *maxJobs,
 			Cache:             cache.Config{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes, Dir: dir},
 			DisableCache:      *cacheEntries < 0,
 			StreamWindow:      *streamWindow,

@@ -31,15 +31,15 @@ type ConsumeState struct {
 
 // TThreadState is the captured dynamic state of one T-THREAD.
 type TThreadState struct {
-	ID           int // registry identifier, for cross-checks only
-	Priority     int
-	BasePriority int
-	State        State
-	SuspCount    int
-	Terminated   bool
-	WaitObj      string
-	RelCode      error // T-Kernel ER singletons or nil
-	ActCount     int
+	ID            int // registry identifier, for cross-checks only
+	Priority      int
+	BasePriority  int
+	State         State
+	SuspCount     int
+	Terminated    bool
+	WaitObj       string
+	RelCode       error // T-Kernel ER singletons or nil
+	ActCount      int
 	PendingRel    error
 	HasPendingRel bool
 

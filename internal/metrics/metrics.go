@@ -8,10 +8,10 @@
 package metrics
 
 import (
-	"encoding/json"
 	"io"
 	"math/bits"
 	"sort"
+	"strconv"
 
 	"repro/internal/event"
 	"repro/internal/sysc"
@@ -26,9 +26,9 @@ const histBuckets = 24
 
 // Histogram is a log2-bucketed latency histogram over simulated time.
 type Histogram struct {
-	Count   uint64             `json:"count"`
-	SumUs   float64            `json:"sum_us"`
-	MaxUs   float64            `json:"max_us"`
+	Count   uint64              `json:"count"`
+	SumUs   float64             `json:"sum_us"`
+	MaxUs   float64             `json:"max_us"`
 	Buckets [histBuckets]uint64 `json:"log2_us_buckets"`
 }
 
@@ -197,9 +197,148 @@ func (c *Collector) Report() Report {
 	return r
 }
 
-// WriteJSON writes the report as indented JSON.
+// WriteJSON writes the report as indented JSON: the bytes of encoding/json's
+// Encoder with SetIndent("", "  "), newline-terminated. A NaN or infinite
+// value has no JSON form; WriteJSON then writes nothing and returns an
+// error.
 func (c *Collector) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.Report())
+	r := c.Report()
+	b, err := r.appendJSON()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+func (r *Report) appendJSON() ([]byte, error) {
+	var e indenter
+	e.open('{')
+	e.key("sim_time_us")
+	e.float(r.SimTimeUs)
+	e.key("tasks")
+	e.list(r.Tasks == nil, len(r.Tasks), func(i int) { e.task(&r.Tasks[i]) })
+	e.key("contexts")
+	e.list(r.Contexts == nil, len(r.Contexts), func(i int) { e.context(&r.Contexts[i]) })
+	e.close('}')
+	return append(e.b, '\n'), e.err
+}
+
+func (e *indenter) task(t *TaskMetrics) {
+	e.open('{')
+	e.key("thread")
+	e.str(t.Thread)
+	e.key("dispatches")
+	e.uint(t.Dispatches)
+	e.key("preemptions")
+	e.uint(t.Preemptions)
+	e.key("cet_us")
+	e.float(t.CETUs)
+	e.key("cee_j")
+	e.float(t.CEEJoules)
+	e.key("dispatch_latency")
+	e.histogram(&t.DispatchLatency)
+	e.key("wait_time")
+	e.histogram(&t.WaitTime)
+	e.close('}')
+}
+
+func (e *indenter) histogram(h *Histogram) {
+	e.open('{')
+	e.key("count")
+	e.uint(h.Count)
+	e.key("sum_us")
+	e.float(h.SumUs)
+	e.key("max_us")
+	e.float(h.MaxUs)
+	e.key("log2_us_buckets")
+	e.list(false, len(h.Buckets), func(i int) { e.uint(h.Buckets[i]) })
+	e.close('}')
+}
+
+func (e *indenter) context(x *ContextMetrics) {
+	e.open('{')
+	e.key("context")
+	e.str(x.Context)
+	e.key("time_us")
+	e.float(x.TimeUs)
+	e.key("joules")
+	e.float(x.Joules)
+	e.key("slices")
+	e.uint(x.Slices)
+	e.close('}')
+}
+
+// indenter appends JSON laid out as encoding/json's two-space indent does:
+// every member and element on its own line, empty containers as {} and [].
+// The first unsupported float is kept in err.
+type indenter struct {
+	b     []byte
+	depth int
+	empty bool // the innermost open container has no member yet
+	err   error
+}
+
+func (e *indenter) open(c byte) {
+	e.b = append(e.b, c)
+	e.depth++
+	e.empty = true
+}
+
+func (e *indenter) close(c byte) {
+	e.depth--
+	if !e.empty {
+		e.newline()
+	}
+	e.b = append(e.b, c)
+	e.empty = false
+}
+
+// list writes an array of n elements, element i written by elem, or null
+// for a nil slice, as encoding/json does.
+func (e *indenter) list(isNil bool, n int, elem func(i int)) {
+	if isNil {
+		e.b = append(e.b, "null"...)
+		return
+	}
+	e.open('[')
+	for i := range n {
+		e.elem()
+		elem(i)
+	}
+	e.close(']')
+}
+
+// elem starts the next member or element of the innermost container.
+func (e *indenter) elem() {
+	if !e.empty {
+		e.b = append(e.b, ',')
+	}
+	e.empty = false
+	e.newline()
+}
+
+func (e *indenter) newline() {
+	e.b = append(e.b, '\n')
+	for range e.depth {
+		e.b = append(e.b, "  "...)
+	}
+}
+
+// key starts a member named k, a plain ASCII identifier needing no escape.
+func (e *indenter) key(k string) {
+	e.elem()
+	e.b = append(e.b, '"')
+	e.b = append(e.b, k...)
+	e.b = append(e.b, `": `...)
+}
+
+func (e *indenter) str(s string)  { e.b = trace.AppendJSONString(e.b, s) }
+func (e *indenter) uint(n uint64) { e.b = strconv.AppendUint(e.b, n, 10) }
+func (e *indenter) float(f float64) {
+	var err error
+	e.b, err = trace.AppendJSONFloat(e.b, f)
+	if e.err == nil {
+		e.err = err
+	}
 }

@@ -48,7 +48,7 @@ type Meta struct {
 
 type enc struct{ b bytes.Buffer }
 
-func (e *enc) u8(v uint8)   { e.b.WriteByte(v) }
+func (e *enc) u8(v uint8) { e.b.WriteByte(v) }
 func (e *enc) boolean(v bool) {
 	if v {
 		e.u8(1)
@@ -66,11 +66,11 @@ func (e *enc) u64(v uint64) {
 	binary.LittleEndian.PutUint64(x[:], v)
 	e.b.Write(x[:])
 }
-func (e *enc) i32(v int32)     { e.u32(uint32(v)) }
-func (e *enc) i64(v int64)     { e.u64(uint64(v)) }
-func (e *enc) f64(v float64)   { e.u64(math.Float64bits(v)) }
-func (e *enc) blob(v []byte)   { e.u32(uint32(len(v))); e.b.Write(v) }
-func (e *enc) str(v string)    { e.u32(uint32(len(v))); e.b.WriteString(v) }
+func (e *enc) i32(v int32)   { e.u32(uint32(v)) }
+func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
+func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *enc) blob(v []byte) { e.u32(uint32(len(v))); e.b.Write(v) }
+func (e *enc) str(v string)  { e.u32(uint32(len(v))); e.b.WriteString(v) }
 func (e *enc) i32s(v []int32) {
 	e.u32(uint32(len(v)))
 	for _, x := range v {

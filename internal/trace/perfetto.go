@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/event"
-	"repro/internal/sysc"
 )
 
 // Perfetto streams kernel events into the Chrome trace-event JSON format
@@ -27,48 +27,13 @@ type Perfetto struct {
 	sub     *event.Subscription
 	tids    map[string]int
 	nextTid int
-	n       int // records written
+	n       int    // records written
+	buf     []byte // scratch for the record being encoded
 	err     error
 }
 
 // tidKernel is the synthetic row carrying events without a subject thread.
 const tidKernel = 0
-
-// pfPid is the single process ID used for the whole simulation.
-const pfPid = 1
-
-// picosecond -> microsecond (the trace-event ts/dur unit).
-const psPerUs = 1e6
-
-type pfMeta struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args"`
-}
-
-type pfComplete struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type pfInstant struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s"`
-	Args map[string]any `json:"args,omitempty"`
-}
 
 // pfKinds is the event subset the exporter records. Quiescent points and
 // time advances are deliberately excluded: they occur at every timed-phase
@@ -93,8 +58,8 @@ func AttachPerfetto(b *event.Bus, w io.Writer) *Perfetto {
 		nextTid: tidKernel + 1,
 	}
 	p.w.WriteString("[")
-	p.meta("process_name", pfPid, tidKernel, map[string]any{"name": "rtk-spec-tron"})
-	p.meta("thread_name", pfPid, tidKernel, map[string]any{"name": "kernel"})
+	p.meta("process_name", tidKernel, "rtk-spec-tron")
+	p.meta("thread_name", tidKernel, "kernel")
 	p.sub = b.Subscribe(p.handle, pfKinds...)
 	return p
 }
@@ -126,79 +91,130 @@ func (p *Perfetto) tid(thread string) int {
 	id := p.nextTid
 	p.nextTid++
 	p.tids[thread] = id
-	p.meta("thread_name", pfPid, id, map[string]any{"name": thread})
+	p.meta("thread_name", id, thread)
 	return id
 }
 
+// handle encodes one event by hand, field by field in a fixed order, into
+// the reused scratch buffer. The bytes are exactly those encoding/json
+// writes for the same record with its argument keys sorted; the package's
+// fuzz oracle holds the two equal. Once the event's row exists, nothing here
+// allocates.
 func (p *Perfetto) handle(e event.Event) {
+	if p.err != nil {
+		return
+	}
+	tid := p.tid(e.Thread)
+	b := p.begin()
+	var err error
 	switch e.Kind {
 	case event.KindRunSlice:
 		name := e.Obj
 		if name == "" {
 			name = Context(e.Ctx).String()
 		}
-		p.emit(pfComplete{
-			Name: name, Cat: Context(e.Ctx).String(), Ph: "X",
-			Ts: us(e.Start), Dur: us(e.Time - e.Start),
-			Pid: pfPid, Tid: p.tid(e.Thread),
-			Args: map[string]any{"energy_j": float64(e.Energy)},
-		})
-	case event.KindSvcExit:
-		p.instant(e, e.Obj, map[string]any{"er": e.Code})
-	case event.KindSvcEnter:
-		p.instant(e, e.Obj, nil)
-	case event.KindPreempt, event.KindBlock, event.KindRelease:
-		var args map[string]any
-		if e.Obj != "" {
-			args = map[string]any{"detail": e.Obj}
-		}
-		p.instant(e, e.Kind.String(), args)
-	case event.KindIntEnter:
-		p.instant(e, e.Kind.String(), map[string]any{"depth": e.Seq})
-	case event.KindTimerFire:
-		p.instant(e, e.Kind.String(), map[string]any{"armed_us": us(e.Start), "seq": e.Seq})
+		b = appendNameCat(b, name, Context(e.Ctx).String())
+		b = append(b, `,"ph":"X","ts":`...)
+		b = appendUs(b, e.Start)
+		b = append(b, `,"dur":`...)
+		b = appendUs(b, e.Time-e.Start)
+		b = appendPidTid(b, tid)
+		b = append(b, `,"args":{"energy_j":`...)
+		b, err = AppendJSONFloat(b, float64(e.Energy))
+		b = append(b, "}}"...)
 	default:
-		p.instant(e, e.Kind.String(), nil)
+		b = appendInstant(b, e, tid)
 	}
+	p.end(b, err)
 }
 
-// instant emits an "i" record for e on its thread's row.
-func (p *Perfetto) instant(e event.Event, name string, args map[string]any) {
-	p.emit(pfInstant{
-		Name: name, Cat: e.Kind.String(), Ph: "i",
-		Ts: us(e.Time), Pid: pfPid, Tid: p.tid(e.Thread), S: "t",
-		Args: args,
-	})
+// appendInstant encodes e as an "i" record on row tid.
+func appendInstant(b []byte, e event.Event, tid int) []byte {
+	name := e.Kind.String()
+	if e.Kind == event.KindSvcEnter || e.Kind == event.KindSvcExit {
+		name = e.Obj
+	}
+	b = appendNameCat(b, name, e.Kind.String())
+	b = append(b, `,"ph":"i","ts":`...)
+	b = appendUs(b, e.Time)
+	b = appendPidTid(b, tid)
+	b = append(b, `,"s":"t"`...)
+	switch e.Kind {
+	case event.KindSvcExit:
+		b = append(b, `,"args":{"er":`...)
+		b = strconv.AppendInt(b, int64(e.Code), 10)
+		b = append(b, '}')
+	case event.KindPreempt, event.KindBlock, event.KindRelease:
+		if e.Obj != "" {
+			b = append(b, `,"args":{"detail":`...)
+			b = AppendJSONString(b, e.Obj)
+			b = append(b, '}')
+		}
+	case event.KindIntEnter:
+		b = append(b, `,"args":{"depth":`...)
+		b = strconv.AppendUint(b, e.Seq, 10)
+		b = append(b, '}')
+	case event.KindTimerFire:
+		b = append(b, `,"args":{"armed_us":`...)
+		b = appendUs(b, e.Start)
+		b = append(b, `,"seq":`...)
+		b = strconv.AppendUint(b, e.Seq, 10)
+		b = append(b, '}')
+	}
+	return append(b, '}')
 }
 
-func (p *Perfetto) meta(name string, pid, tid int, args map[string]any) {
-	p.emit(pfMeta{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: args})
+// meta emits an "M" record naming the process or a thread row.
+func (p *Perfetto) meta(kind string, tid int, name string) {
+	b := p.begin()
+	b = append(b, `{"name":`...)
+	b = AppendJSONString(b, kind)
+	b = append(b, `,"ph":"M"`...)
+	b = appendPidTid(b, tid)
+	b = append(b, `,"args":{"name":`...)
+	b = AppendJSONString(b, name)
+	p.end(append(b, "}}"...), nil)
 }
 
-// emit encodes one record and appends it to the array.
-func (p *Perfetto) emit(rec any) {
+func appendNameCat(b []byte, name, cat string) []byte {
+	b = append(b, `{"name":`...)
+	b = AppendJSONString(b, name)
+	b = append(b, `,"cat":`...)
+	return AppendJSONString(b, cat)
+}
+
+// appendPidTid places a record on row tid of pid 1, the single process
+// standing for the whole simulation.
+func appendPidTid(b []byte, tid int) []byte {
+	b = append(b, `,"pid":1,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// begin starts a record in the scratch buffer with its array separator.
+func (p *Perfetto) begin() []byte {
+	if p.n > 0 {
+		return append(p.buf[:0], ",\n"...)
+	}
+	return append(p.buf[:0], '\n')
+}
+
+// end writes the finished record b, or drops it and keeps err when its
+// encoding failed.
+func (p *Perfetto) end(b []byte, err error) {
+	p.buf = b
 	if p.err != nil {
 		return
 	}
-	buf, err := json.Marshal(rec)
 	if err != nil {
 		p.err = err
 		return
 	}
-	if p.n > 0 {
-		p.w.WriteString(",\n")
-	} else {
-		p.w.WriteString("\n")
-	}
-	if _, err := p.w.Write(buf); err != nil {
+	if _, err := p.w.Write(b); err != nil {
 		p.err = err
 		return
 	}
 	p.n++
 }
-
-// us converts simulation picoseconds to trace-event microseconds.
-func us(t sysc.Time) float64 { return float64(t) / psPerUs }
 
 // ValidatePerfetto schema-checks a trace-event JSON array: every record must
 // carry a known phase (M/X/i), pid and tid, a numeric ts for X/i records and
