@@ -4,11 +4,13 @@
 #   make bench   - co-simulation speed benchmark -> BENCH_sysc.json
 #   make bench-all  - every benchmark, no JSON capture
 #   make golden  - golden-digest determinism gate, plain and under -race
+#   make fuzz    - run the trace and task-set fuzz targets, FUZZTIME each
 
 GO ?= go
 BENCHTIME ?= 2s
+FUZZTIME ?= 30s
 
-.PHONY: all build test vet race check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced golden snapshot-diff bench bench-guard bench-all perf-smoke scenarios synthetic-campaign clean
+.PHONY: all build test vet race check serve serve-fleet serve-e2e serve-load serve-load-guard serve-stream chaos chaos-traced golden snapshot-diff fuzz bench bench-guard bench-all perf-smoke scenarios synthetic-campaign clean
 
 all: check
 
@@ -98,6 +100,15 @@ chaos-traced:
 golden:
 	$(GO) test ./internal/run -run 'TestEngineDiff' -count=1 -v
 	$(GO) test -race ./internal/run -run 'TestEngineDiff' -count=1 -v
+
+# Fuzz gate: each fuzz target explores new inputs for FUZZTIME beyond its
+# committed corpus. FuzzPerfettoRecord holds the hand-written trace encoder
+# to encoding/json, kept and streamed; FuzzTaskSetJSON checks that the
+# task-set parser never panics and accepts only sets that round-trip.
+# go test fuzzes one target per run.
+fuzz:
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzPerfettoRecord$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzTaskSetJSON$$' -fuzztime $(FUZZTIME)
 
 # Snapshot/restore byte-equality gate: pausing at a quiescent point, warm
 # sweep forking, snapshot-resume over the run facade and over HTTP, and

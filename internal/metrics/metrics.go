@@ -8,6 +8,7 @@
 package metrics
 
 import (
+	"bytes"
 	"io"
 	"math/bits"
 	"sort"
@@ -183,9 +184,16 @@ func (c *Collector) handle(e event.Event) {
 }
 
 // Report snapshots the accumulated metrics, task rows and context rows
-// sorted by name for deterministic output.
+// sorted by name for deterministic output. A collector that saw no task
+// or no context leaves that row list nil.
 func (c *Collector) Report() Report {
 	r := Report{SimTimeUs: float64(c.end) / 1e6}
+	if len(c.tasks) > 0 {
+		r.Tasks = make([]TaskMetrics, 0, len(c.tasks))
+	}
+	if len(c.ctxs) > 0 {
+		r.Contexts = make([]ContextMetrics, 0, len(c.ctxs))
+	}
 	for _, t := range c.tasks {
 		r.Tasks = append(r.Tasks, t.m)
 	}
@@ -197,10 +205,21 @@ func (c *Collector) Report() Report {
 	return r
 }
 
-// WriteJSON writes the report as indented JSON: the bytes of encoding/json's
-// Encoder with SetIndent("", "  "), newline-terminated. A NaN or infinite
-// value has no JSON form; WriteJSON then writes nothing and returns an
-// error.
+// JSON returns the report as indented JSON: the bytes of encoding/json's
+// Encoder with SetIndent("", "  "), newline-terminated, in an exact-size
+// slice. A NaN or infinite value has no JSON form; JSON then returns nil
+// and an error.
+func (c *Collector) JSON() ([]byte, error) {
+	r := c.Report()
+	b, err := r.appendJSON()
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b), nil
+}
+
+// WriteJSON writes the bytes JSON returns to w, or nothing when JSON
+// fails.
 func (c *Collector) WriteJSON(w io.Writer) error {
 	r := c.Report()
 	b, err := r.appendJSON()
@@ -211,8 +230,18 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 	return err
 }
 
+// Encoded sizes, rounded up, of a task row with its two histograms and of
+// a context row with ordinary names and values. They size the scratch
+// buffer so that it rarely grows.
+const (
+	taskJSONSize    = 1152
+	contextJSONSize = 160
+)
+
+// appendJSON encodes the report into a scratch buffer sized from its row
+// counts.
 func (r *Report) appendJSON() ([]byte, error) {
-	var e indenter
+	e := indenter{b: make([]byte, 0, 128+len(r.Tasks)*taskJSONSize+len(r.Contexts)*contextJSONSize)}
 	e.open('{')
 	e.key("sim_time_us")
 	e.float(r.SimTimeUs)
@@ -252,7 +281,7 @@ func (e *indenter) histogram(h *Histogram) {
 	e.key("max_us")
 	e.float(h.MaxUs)
 	e.key("log2_us_buckets")
-	e.list(false, len(h.Buckets), func(i int) { e.uint(h.Buckets[i]) })
+	e.buckets(&h.Buckets)
 	e.close('}')
 }
 
@@ -309,20 +338,40 @@ func (e *indenter) list(isNil bool, n int, elem func(i int)) {
 	e.close(']')
 }
 
+// sep is a member separator followed by the indentation of the deepest
+// line a report holds: sep[:2+2*d] ends a member and starts the next line
+// at depth d, sep[1:2+2*d] only starts the line.
+const sep = ",\n" + "            "
+
 // elem starts the next member or element of the innermost container.
 func (e *indenter) elem() {
-	if !e.empty {
-		e.b = append(e.b, ',')
+	if e.empty {
+		e.newline()
+	} else {
+		e.b = append(e.b, sep[:2+2*e.depth]...)
 	}
 	e.empty = false
-	e.newline()
 }
 
 func (e *indenter) newline() {
-	e.b = append(e.b, '\n')
-	for range e.depth {
-		e.b = append(e.b, "  "...)
+	e.b = append(e.b, sep[1:2+2*e.depth]...)
+}
+
+// buckets writes a histogram's bucket array, one count per line: its
+// length is fixed and most counts are zero.
+func (e *indenter) buckets(bs *[histBuckets]uint64) {
+	line := sep[:2+2*(e.depth+1)]
+	e.b = append(e.b, '[')
+	for i, n := range bs {
+		if i == 0 {
+			e.b = append(e.b, line[1:]...)
+		} else {
+			e.b = append(e.b, line...)
+		}
+		e.uint(n)
 	}
+	e.newline()
+	e.b = append(e.b, ']')
 }
 
 // key starts a member named k, a plain ASCII identifier needing no escape.
@@ -333,8 +382,14 @@ func (e *indenter) key(k string) {
 	e.b = append(e.b, `": `...)
 }
 
-func (e *indenter) str(s string)  { e.b = trace.AppendJSONString(e.b, s) }
-func (e *indenter) uint(n uint64) { e.b = strconv.AppendUint(e.b, n, 10) }
+func (e *indenter) str(s string) { e.b = trace.AppendJSONString(e.b, s) }
+func (e *indenter) uint(n uint64) {
+	if n == 0 {
+		e.b = append(e.b, '0')
+		return
+	}
+	e.b = strconv.AppendUint(e.b, n, 10)
+}
 func (e *indenter) float(f float64) {
 	var err error
 	e.b, err = trace.AppendJSONFloat(e.b, f)

@@ -87,7 +87,7 @@ func chaosReplay(ctx context.Context, spec Spec, cfg chaos.Config, job int, wall
 		Artifacts: map[string][]byte{},
 	}
 	if wants(spec, ArtifactTrace) {
-		res.Artifacts[ArtifactTrace] = traceBuf.Bytes()
+		res.Artifacts[ArtifactTrace] = exact(&traceBuf)
 	}
 	if wants(spec, ArtifactSummary) {
 		res.Artifacts[ArtifactSummary] = []byte(report.Summary())
@@ -135,5 +135,5 @@ func renderRepros(report chaos.Report) []byte {
 		fmt.Fprint(&b, ") ---\n")
 		fmt.Fprintln(&b, v.Repro)
 	}
-	return b.Bytes()
+	return exact(&b)
 }

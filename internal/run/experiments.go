@@ -111,13 +111,13 @@ func executeExperiments(ctx context.Context, spec Spec) (Result, error) {
 		Artifacts: map[string][]byte{},
 	}
 	if wants(spec, ArtifactReport) {
-		res.Artifacts[ArtifactReport] = rep.Bytes()
+		res.Artifacts[ArtifactReport] = exact(&rep)
 	}
 	if wants(spec, ArtifactVCD) {
-		res.Artifacts[ArtifactVCD] = vcdBuf.Bytes()
+		res.Artifacts[ArtifactVCD] = exact(&vcdBuf)
 	}
 	if wants(spec, ArtifactMetrics) {
-		res.Artifacts[ArtifactMetrics] = metricsBuf.Bytes()
+		res.Artifacts[ArtifactMetrics] = exact(&metricsBuf)
 	}
 	return res, runErr
 }

@@ -11,6 +11,7 @@
 package run
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -412,6 +413,11 @@ func validateCheckpoint(spec Spec, ck *CheckpointSpec) error {
 	}
 	return nil
 }
+
+// exact returns the bytes of a rendered artifact in a slice of their own
+// size class: a result cache accounts artifacts by length, so capacity a
+// buffer grew past it would be memory the cache never sees.
+func exact(b *bytes.Buffer) []byte { return bytes.Clone(b.Bytes()) }
 
 // wants reports whether spec requests the named artifact.
 func wants(spec Spec, name string) bool {

@@ -43,7 +43,6 @@ type synSystem struct {
 	ts   *workload.TaskSet
 
 	bus         *event.Bus
-	traceBuf    bytes.Buffer
 	traceSink   io.Writer
 	metricsSink io.Writer
 	pf          *trace.Perfetto
@@ -67,11 +66,8 @@ func buildSynSystem(spec Spec, o StreamOptions) *synSystem {
 
 	s.bus = event.NewBus()
 	if wants(spec, ArtifactTrace) {
-		w := io.Writer(&s.traceBuf)
-		if s.traceSink = o.sink(ArtifactTrace); s.traceSink != nil {
-			w = s.traceSink
-		}
-		s.pf = trace.AttachPerfetto(s.bus, w)
+		s.traceSink = o.sink(ArtifactTrace)
+		s.pf = trace.AttachPerfetto(s.bus, s.traceSink)
 	}
 	s.metricsSink = o.sink(ArtifactMetrics)
 	if wants(spec, ArtifactMetrics) {
@@ -97,7 +93,7 @@ func buildSynSystem(spec Spec, o StreamOptions) *synSystem {
 func (s *synSystem) snapSystem() snapshot.System {
 	return snapshot.System{
 		Sim: s.sim, Kernel: s.k, Inst: s.inst,
-		Gantt: s.g, Perfetto: s.pf, TraceBuf: &s.traceBuf, Metrics: s.coll,
+		Gantt: s.g, Perfetto: s.pf, Metrics: s.coll,
 	}
 }
 
@@ -127,25 +123,19 @@ func (s *synSystem) result(wall time.Duration) Result {
 
 // harvest collects the requested artifacts into res. closeTrace selects how
 // the Perfetto array is terminated: true detaches and closes the exporter
-// (the normal end-of-run path); false leaves it attached — it flushes and
-// copies the buffer, appending the same "\n]\n" terminator Close would
-// write, so a warm-sweep worker can harvest one forked variant and keep the
-// exporter alive for the next. Both paths produce identical bytes.
+// (the normal end-of-run path); false leaves it attached and takes a copy
+// of the records so far with the same terminator Close would write, so a
+// warm-sweep worker can harvest one forked variant and keep the exporter
+// alive for the next. Both paths produce identical bytes.
 func (s *synSystem) harvest(res *Result, runErr *error, closeTrace bool) {
 	if s.pf != nil {
 		if closeTrace {
 			if err := s.pf.Close(); err != nil && *runErr == nil {
 				*runErr = fmt.Errorf("run: trace: %w", err)
 			}
-			if s.traceSink == nil {
-				res.Artifacts[ArtifactTrace] = s.traceBuf.Bytes()
-			}
-		} else {
-			if err := s.pf.Flush(); err != nil && *runErr == nil {
-				*runErr = fmt.Errorf("run: trace: %w", err)
-			}
-			out := append([]byte(nil), s.traceBuf.Bytes()...)
-			res.Artifacts[ArtifactTrace] = append(out, "\n]\n"...)
+		}
+		if s.traceSink == nil {
+			res.Artifacts[ArtifactTrace] = s.pf.Bytes()
 		}
 		res.Stats.TraceEvents = s.pf.Events()
 	}
@@ -155,24 +145,24 @@ func (s *synSystem) harvest(res *Result, runErr *error, closeTrace bool) {
 				*runErr = fmt.Errorf("run: metrics: %w", err)
 			}
 		} else {
-			var buf bytes.Buffer
-			if err := s.coll.WriteJSON(&buf); err != nil && *runErr == nil {
+			b, err := s.coll.JSON()
+			if err != nil && *runErr == nil {
 				*runErr = fmt.Errorf("run: metrics: %w", err)
 			}
-			res.Artifacts[ArtifactMetrics] = buf.Bytes()
+			res.Artifacts[ArtifactMetrics] = b
 		}
 	}
 	if s.g != nil {
 		var buf bytes.Buffer
 		s.g.Render(&buf, 0, ganttWindow, 100)
-		res.Artifacts[ArtifactGantt] = buf.Bytes()
+		res.Artifacts[ArtifactGantt] = exact(&buf)
 	}
 	if wants(s.spec, ArtifactTaskSet) {
 		b, err := json.MarshalIndent(s.ts, "", "  ")
 		if err != nil && *runErr == nil {
 			*runErr = fmt.Errorf("run: taskset: %w", err)
 		}
-		res.Artifacts[ArtifactTaskSet] = append(b, '\n')
+		res.Artifacts[ArtifactTaskSet] = bytes.Clone(append(b, '\n'))
 	}
 }
 

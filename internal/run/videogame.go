@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/app"
@@ -35,15 +34,10 @@ func executeVideogame(ctx context.Context, spec Spec, o StreamOptions) (Result, 
 	}
 
 	bus := event.NewBus()
-	var traceBuf bytes.Buffer
 	traceSink := o.sink(ArtifactTrace)
 	var pf *trace.Perfetto
 	if wants(spec, ArtifactTrace) {
-		w := io.Writer(&traceBuf)
-		if traceSink != nil {
-			w = traceSink
-		}
-		pf = trace.AttachPerfetto(bus, w)
+		pf = trace.AttachPerfetto(bus, traceSink)
 	}
 	var coll *metrics.Collector
 	if wants(spec, ArtifactMetrics) {
@@ -135,7 +129,7 @@ func executeVideogame(ctx context.Context, spec Spec, o StreamOptions) (Result, 
 		}
 		res.Stats.TraceEvents = pf.Events()
 		if traceSink == nil {
-			res.Artifacts[ArtifactTrace] = traceBuf.Bytes()
+			res.Artifacts[ArtifactTrace] = pf.Bytes()
 		}
 	}
 	if coll != nil {
@@ -144,28 +138,28 @@ func executeVideogame(ctx context.Context, spec Spec, o StreamOptions) (Result, 
 				runErr = fmt.Errorf("run: metrics: %w", err)
 			}
 		} else {
-			var buf bytes.Buffer
-			if err := coll.WriteJSON(&buf); err != nil && runErr == nil {
+			b, err := coll.JSON()
+			if err != nil && runErr == nil {
 				runErr = fmt.Errorf("run: metrics: %w", err)
 			}
-			res.Artifacts[ArtifactMetrics] = buf.Bytes()
+			res.Artifacts[ArtifactMetrics] = b
 		}
 	}
 	if g != nil {
 		var buf bytes.Buffer
 		g.Render(&buf, 0, ganttWindow, 100)
-		res.Artifacts[ArtifactGantt] = buf.Bytes()
+		res.Artifacts[ArtifactGantt] = exact(&buf)
 	}
 	if vcd != nil {
 		var buf bytes.Buffer
 		vcd.Render(&buf)
 		res.Stats.VCDChanges = vcd.Len()
-		res.Artifacts[ArtifactVCD] = buf.Bytes()
+		res.Artifacts[ArtifactVCD] = exact(&buf)
 	}
 	if wants(spec, ArtifactDS) {
 		var buf bytes.Buffer
 		tkds.New(a.K).Listing(&buf)
-		res.Artifacts[ArtifactDS] = buf.Bytes()
+		res.Artifacts[ArtifactDS] = exact(&buf)
 	}
 	if wants(spec, ArtifactConsole) {
 		res.Artifacts[ArtifactConsole] = renderConsole(a)
@@ -184,5 +178,5 @@ func renderConsole(a *app.App) []byte {
 	fmt.Fprintln(&b, "SSD:", a.SSDW.RenderText())
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, a.Battery.RenderText())
-	return b.Bytes()
+	return exact(&b)
 }

@@ -97,7 +97,7 @@ func relCode(err error) (int32, error) {
 
 // Encode flattens an in-memory checkpoint into the versioned binary
 // form. sys must be the system st was captured from (it resolves
-// delivery pointers to scratch indices).
+// delivery pointers to scratch indices). The result is exact-size.
 func Encode(sys System, st *State, meta Meta) ([]byte, error) {
 	e := &enc{}
 	e.b.Write(magic[:])
@@ -342,7 +342,7 @@ func Encode(sys System, st *State, meta Meta) ([]byte, error) {
 		e.u64(d.RNG)
 		e.boolean(d.Started)
 	}
-	return e.b.Bytes(), nil
+	return bytes.Clone(e.b.Bytes()), nil
 }
 
 // DecodeMeta parses and validates a snapshot header. It distinguishes

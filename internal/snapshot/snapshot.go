@@ -22,7 +22,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -59,7 +58,6 @@ type System struct {
 
 	Gantt    *trace.Gantt
 	Perfetto *trace.Perfetto
-	TraceBuf *bytes.Buffer // the buffer Perfetto streams into
 	Metrics  *metrics.Collector
 }
 
@@ -77,7 +75,6 @@ type State struct {
 	gantt    trace.GanttState
 	hasPf    bool
 	pf       trace.PerfettoState
-	traceLog []byte
 	hasColl  bool
 	coll     metrics.CollectorState
 }
@@ -105,14 +102,8 @@ func Capture(sys System) (*State, error) {
 		st.gantt = sys.Gantt.SaveState()
 	}
 	if sys.Perfetto != nil {
-		if err := sys.Perfetto.Flush(); err != nil {
-			return nil, fmt.Errorf("snapshot: trace flush: %w", err)
-		}
 		st.hasPf = true
 		st.pf = sys.Perfetto.SaveState()
-		if sys.TraceBuf != nil {
-			st.traceLog = append([]byte(nil), sys.TraceBuf.Bytes()...)
-		}
 	}
 	if sys.Metrics != nil {
 		st.hasColl = true
@@ -148,10 +139,6 @@ func RestoreInPlace(sys System, st *State) error {
 		sys.Gantt.LoadState(st.gantt)
 	}
 	if st.hasPf && sys.Perfetto != nil {
-		if sys.TraceBuf != nil {
-			sys.TraceBuf.Reset()
-			sys.TraceBuf.Write(st.traceLog)
-		}
 		sys.Perfetto.LoadState(st.pf)
 	}
 	if st.hasColl && sys.Metrics != nil {

@@ -1,10 +1,11 @@
 package trace
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/event"
@@ -17,20 +18,42 @@ import (
 // fires...) become instant ("i") events on the owning thread's row, or on a
 // synthetic "kernel" row when no thread is involved.
 //
-// The exporter writes incrementally — each event is encoded and flushed to
-// the underlying writer as it is published, so arbitrarily long runs never
-// buffer the whole trace in memory. Output is deterministic: records are
-// emitted in publish order with fixed field order, so two runs of the same
-// seeded model produce byte-identical files.
+// Each record is encoded once, straight into a store the exporter owns: a
+// list of fixed segSize segments, small-object allocations that never move
+// or grow. With a sink the store is the one segment, written out whenever
+// it fills and reused, so arbitrarily long runs never hold the whole trace
+// in memory. Without one the segments accumulate and Close joins them once
+// into the exact-size artifact Bytes returns. A run charges few distinct
+// slice energies, so their decimal text is memoized per exporter. Output is
+// deterministic: records are emitted in publish order with fixed field
+// order, so two runs of the same seeded model produce byte-identical files.
 type Perfetto struct {
-	w       *bufio.Writer
+	w       io.Writer // sink; nil keeps the trace for Bytes
 	sub     *event.Subscription
 	tids    map[string]int
 	nextTid int
-	n       int    // records written
-	buf     []byte // scratch for the record being encoded
-	err     error
+	n       int // records written
+
+	segs [][]byte // sealed segments (no sink)
+	cur  []byte   // the segment being filled, cap segSize
+	base int      // store bytes before cur: sealed, or written to the sink
+	out  []byte   // the finished artifact after Close (no sink)
+
+	energy energyMemo
+	err    error
 }
+
+const (
+	// segSize is the capacity of one store segment, kept below the 32 KiB
+	// small-object limit.
+	segSize = 16 << 10
+	// segReserve is the room a record may count on: a segment with less
+	// left is sealed before the next record starts. A longer record
+	// still fits; it carries over into the following segments.
+	segReserve = 512
+	// arrayEnd terminates the JSON array.
+	arrayEnd = "\n]\n"
+)
 
 // tidKernel is the synthetic row carrying events without a subject thread.
 const tidKernel = 0
@@ -49,30 +72,55 @@ var pfKinds = []event.Kind{
 	event.KindTimerFire,
 }
 
-// AttachPerfetto subscribes a streaming exporter to the bus, writing the
-// JSON array to w. Call Close after the run to finish the array and flush.
+// AttachPerfetto subscribes an exporter to the bus. With a non-nil w the
+// JSON array streams to w; with a nil w it is kept and, after Close,
+// returned by Bytes. Call Close after the run to finish the array.
 func AttachPerfetto(b *event.Bus, w io.Writer) *Perfetto {
 	p := &Perfetto{
-		w:       bufio.NewWriter(w),
+		w:       w,
 		tids:    map[string]int{},
 		nextTid: tidKernel + 1,
+		cur:     make([]byte, 0, segSize),
 	}
-	p.w.WriteString("[")
+	p.cur = append(p.cur, '[')
 	p.meta("process_name", tidKernel, "rtk-spec-tron")
 	p.meta("thread_name", tidKernel, "kernel")
 	p.sub = b.Subscribe(p.handle, pfKinds...)
 	return p
 }
 
-// Close detaches the exporter from the bus, terminates the JSON array and
-// flushes. It returns the first write or encode error encountered.
+// Close detaches the exporter from the bus and terminates the JSON array:
+// it writes the rest of the array to the sink, or joins the store into the
+// artifact Bytes returns. It returns the first write or encode error
+// encountered.
 func (p *Perfetto) Close() error {
 	p.sub.Close()
-	p.w.WriteString("\n]\n")
-	if err := p.w.Flush(); err != nil && p.err == nil {
-		p.err = err
+	if p.w == nil {
+		p.out = p.Bytes()
+		p.segs, p.cur = nil, nil
+		return p.err
 	}
+	p.room(len(arrayEnd))
+	p.cur = append(p.cur, arrayEnd...)
+	p.seal()
 	return p.err
+}
+
+// Bytes returns the trace of an exporter without a sink as a complete
+// JSON array in an exact-size slice. After Close it is the finished
+// artifact; before, it is a copy of the records so far terminated as Close
+// would terminate them, and the exporter keeps recording. With a sink it
+// returns nil.
+func (p *Perfetto) Bytes() []byte {
+	if p.w != nil || p.out != nil {
+		return p.out
+	}
+	p.room(len(arrayEnd))
+	n := len(p.cur)
+	p.cur = append(p.cur, arrayEnd...)
+	out := bytes.Join(append(p.segs, p.cur), nil)
+	p.cur = p.cur[:n]
+	return out
 }
 
 // Events returns the number of trace records written so far.
@@ -95,11 +143,12 @@ func (p *Perfetto) tid(thread string) int {
 	return id
 }
 
-// handle encodes one event by hand, field by field in a fixed order, into
-// the reused scratch buffer. The bytes are exactly those encoding/json
-// writes for the same record with its argument keys sorted; the package's
-// fuzz oracle holds the two equal. Once the event's row exists, nothing here
-// allocates.
+// handle encodes one event by hand, field by field in a fixed order, at
+// the end of the current store segment. The bytes are exactly those
+// encoding/json writes for the same record with its argument keys sorted;
+// the package's fuzz oracle holds the two equal. Once the event's row
+// exists, nothing here allocates but a fresh segment per segSize bytes of
+// kept trace.
 func (p *Perfetto) handle(e event.Event) {
 	if p.err != nil {
 		return
@@ -113,14 +162,17 @@ func (p *Perfetto) handle(e event.Event) {
 		if name == "" {
 			name = Context(e.Ctx).String()
 		}
-		b = appendNameCat(b, name, Context(e.Ctx).String())
+		b = append(b, `{"name":`...)
+		b = AppendJSONString(b, name)
+		b = append(b, `,"cat":`...)
+		b = AppendJSONString(b, Context(e.Ctx).String())
 		b = append(b, `,"ph":"X","ts":`...)
 		b = appendUs(b, e.Start)
 		b = append(b, `,"dur":`...)
 		b = appendUs(b, e.Time-e.Start)
 		b = appendPidTid(b, tid)
 		b = append(b, `,"args":{"energy_j":`...)
-		b, err = AppendJSONFloat(b, float64(e.Energy))
+		b, err = p.energy.append(b, float64(e.Energy))
 		b = append(b, "}}"...)
 	default:
 		b = appendInstant(b, e, tid)
@@ -128,14 +180,30 @@ func (p *Perfetto) handle(e event.Event) {
 	p.end(b, err)
 }
 
+// The constant parts of "i" record heads, encoded once per kind k:
+// instantCat[k] follows the record's name up to its timestamp, and
+// instantHead[k] is the whole head of a record named after its kind, as
+// every kind but the service calls is.
+var instantCat, instantHead = func() (cat, head []string) {
+	cat = make([]string, event.NumKinds())
+	head = make([]string, event.NumKinds())
+	for k := range cat {
+		kind := event.Kind(k).String()
+		cat[k] = string(AppendJSONString([]byte(`,"cat":`), kind)) + `,"ph":"i","ts":`
+		head[k] = string(AppendJSONString([]byte(`{"name":`), kind)) + cat[k]
+	}
+	return cat, head
+}()
+
 // appendInstant encodes e as an "i" record on row tid.
 func appendInstant(b []byte, e event.Event, tid int) []byte {
-	name := e.Kind.String()
 	if e.Kind == event.KindSvcEnter || e.Kind == event.KindSvcExit {
-		name = e.Obj
+		b = append(b, `{"name":`...)
+		b = AppendJSONString(b, e.Obj)
+		b = append(b, instantCat[e.Kind]...)
+	} else {
+		b = append(b, instantHead[e.Kind]...)
 	}
-	b = appendNameCat(b, name, e.Kind.String())
-	b = append(b, `,"ph":"i","ts":`...)
 	b = appendUs(b, e.Time)
 	b = appendPidTid(b, tid)
 	b = append(b, `,"s":"t"`...)
@@ -176,13 +244,6 @@ func (p *Perfetto) meta(kind string, tid int, name string) {
 	p.end(append(b, "}}"...), nil)
 }
 
-func appendNameCat(b []byte, name, cat string) []byte {
-	b = append(b, `{"name":`...)
-	b = AppendJSONString(b, name)
-	b = append(b, `,"cat":`...)
-	return AppendJSONString(b, cat)
-}
-
 // appendPidTid places a record on row tid of pid 1, the single process
 // standing for the whole simulation.
 func appendPidTid(b []byte, tid int) []byte {
@@ -190,18 +251,19 @@ func appendPidTid(b []byte, tid int) []byte {
 	return strconv.AppendInt(b, int64(tid), 10)
 }
 
-// begin starts a record in the scratch buffer with its array separator.
+// begin starts a record, with its array separator, at the end of the
+// current segment.
 func (p *Perfetto) begin() []byte {
+	p.room(segReserve)
 	if p.n > 0 {
-		return append(p.buf[:0], ",\n"...)
+		return append(p.cur, ",\n"...)
 	}
-	return append(p.buf[:0], '\n')
+	return append(p.cur, '\n')
 }
 
-// end writes the finished record b, or drops it and keeps err when its
-// encoding failed.
+// end commits the record b that begin started, or drops it and keeps err
+// when its encoding failed.
 func (p *Perfetto) end(b []byte, err error) {
-	p.buf = b
 	if p.err != nil {
 		return
 	}
@@ -209,11 +271,69 @@ func (p *Perfetto) end(b []byte, err error) {
 		p.err = err
 		return
 	}
-	if _, err := p.w.Write(b); err != nil {
-		p.err = err
+	p.n++
+	if len(b) <= segSize {
+		p.cur = b
 		return
 	}
-	p.n++
+	// The record outgrew the segment, so append moved it: put back what
+	// fits and carry the rest over into fresh segments.
+	copy(p.cur[len(p.cur):segSize], b[len(p.cur):])
+	p.cur = p.cur[:segSize]
+	for rest := b[segSize:]; len(rest) > 0; {
+		p.seal()
+		p.cur = p.cur[:copy(p.cur[:segSize], rest)]
+		rest = rest[len(p.cur):]
+	}
+}
+
+// room seals the current segment when fewer than n bytes are left in it.
+func (p *Perfetto) room(n int) {
+	if segSize-len(p.cur) < n {
+		p.seal()
+	}
+}
+
+// seal retires the current segment and starts an empty one: without a
+// sink it joins the store and a new segment is allocated; with one it is
+// written out and reused.
+func (p *Perfetto) seal() {
+	p.base += len(p.cur)
+	if p.w == nil {
+		p.segs = append(p.segs, p.cur)
+		p.cur = make([]byte, 0, segSize)
+		return
+	}
+	if _, err := p.w.Write(p.cur); err != nil && p.err == nil {
+		p.err = err
+	}
+	p.cur = p.cur[:0]
+}
+
+// energyMemo remembers the JSON text of recent run-slice energies,
+// direct-mapped on their bits: a run charges few distinct energies, so
+// most slices copy their text instead of formatting a float. NaN and ±Inf
+// have no text and are never entered.
+type energyMemo [64]struct {
+	bits uint64
+	n    uint8 // text length; 0 marks an empty entry
+	text [31]byte
+}
+
+// append appends f as AppendJSONFloat does.
+func (m *energyMemo) append(dst []byte, f float64) ([]byte, error) {
+	bits := math.Float64bits(f)
+	e := &m[bits*0x9e3779b97f4a7c15>>58]
+	if e.n > 0 && e.bits == bits {
+		return append(dst, e.text[:e.n]...), nil
+	}
+	start := len(dst)
+	dst, err := AppendJSONFloat(dst, f)
+	if err == nil && len(dst)-start <= len(e.text) {
+		e.bits = bits
+		e.n = uint8(copy(e.text[:], dst[start:]))
+	}
+	return dst, err
 }
 
 // ValidatePerfetto schema-checks a trace-event JSON array: every record must

@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -148,35 +150,55 @@ func (p *refPerfetto) emit(rec any) {
 
 func refUs(t sysc.Time) float64 { return float64(t) / 1e6 }
 
-// encodeBoth feeds evs to the exporter and to the reference encoder.
-func encodeBoth(evs ...event.Event) (got, want []byte, gotErr, wantErr error) {
-	var buf bytes.Buffer
-	p := AttachPerfetto(event.NewBus(), &buf)
-	ref := newRefPerfetto()
+// encode feeds evs to an exporter, streaming to a sink when streamed is set
+// and keeping the trace in its store otherwise, and returns the trace.
+func encode(streamed bool, evs ...event.Event) ([]byte, error) {
+	var sink bytes.Buffer
+	var w io.Writer
+	if streamed {
+		w = &sink
+	}
+	p := AttachPerfetto(event.NewBus(), w)
 	for _, e := range evs {
 		p.handle(e)
+	}
+	err := p.Close()
+	if streamed {
+		return sink.Bytes(), err
+	}
+	return p.Bytes(), err
+}
+
+// encodeRef feeds evs to the reference encoder.
+func encodeRef(evs ...event.Event) ([]byte, error) {
+	ref := newRefPerfetto()
+	for _, e := range evs {
 		ref.handle(e)
 	}
-	gotErr = p.Close()
-	want, wantErr = ref.close()
-	return buf.Bytes(), want, gotErr, wantErr
+	return ref.close()
 }
 
+// checkAgainstRef holds both the streamed and the kept trace of evs to the
+// reference encoder.
 func checkAgainstRef(t *testing.T, evs ...event.Event) {
 	t.Helper()
-	got, want, gotErr, wantErr := encodeBoth(evs...)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("error: got %v, reference %v", gotErr, wantErr)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("bytes differ from encoding/json\n got: %q\nwant: %q", got, want)
+	want, wantErr := encodeRef(evs...)
+	for _, streamed := range []bool{false, true} {
+		got, gotErr := encode(streamed, evs...)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("streamed=%v: error: got %v, reference %v", streamed, gotErr, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("streamed=%v: bytes differ from encoding/json\n got: %q\nwant: %q", streamed, got, want)
+		}
 	}
 }
 
-// FuzzPerfettoRecord holds every record kind to the encoding/json oracle:
-// arbitrary names (escapes, control bytes, U+2028, invalid UTF-8), negative
-// and beyond-2^52 ps times, tiny, huge and non-finite energies. Each event
-// is published twice so both the new-row and the known-row paths encode it.
+// FuzzPerfettoRecord holds every record kind, kept and streamed, to the
+// encoding/json oracle: arbitrary names (escapes, control bytes, U+2028,
+// invalid UTF-8), negative and beyond-2^52 ps times, tiny, huge and
+// non-finite energies. Each event is published twice so both the new-row
+// and the known-row paths encode it, and a memoized energy is reused.
 func FuzzPerfettoRecord(f *testing.F) {
 	f.Add(byte(0), byte(1), 0, int64(4*sysc.Ms), int64(sysc.Ms), uint64(0), 0.002, "worker", "step")
 	f.Add(byte(2), byte(0), -52, int64(1), int64(0), uint64(0), 0.0, "", `a<b>&"c\d`)
@@ -217,15 +239,17 @@ func TestPerfettoNonFiniteEnergyIsError(t *testing.T) {
 		slice := event.Event{Kind: event.KindRunSlice, Thread: "a", Ctx: 1,
 			Start: sysc.Ms, Time: 2 * sysc.Ms, Energy: petri.Energy(energy)}
 		after := event.Event{Kind: event.KindDispatch, Thread: "b", Time: 3 * sysc.Ms}
-		got, _, gotErr, _ := encodeBoth(slice, after)
-		if gotErr == nil {
-			t.Fatalf("energy %v: Close returned no error", energy)
-		}
-		if bytes.Contains(got, []byte("NaN")) || bytes.Contains(got, []byte("Inf")) {
-			t.Fatalf("energy %v: non-finite value written: %s", energy, got)
-		}
-		if n, err := ValidatePerfetto(bytes.NewReader(got)); err != nil || n != 3 {
-			t.Fatalf("energy %v: trace before the error: n=%d err=%v", energy, n, err)
+		for _, streamed := range []bool{false, true} {
+			got, gotErr := encode(streamed, slice, after)
+			if gotErr == nil {
+				t.Fatalf("energy %v: Close returned no error", energy)
+			}
+			if bytes.Contains(got, []byte("NaN")) || bytes.Contains(got, []byte("Inf")) {
+				t.Fatalf("energy %v: non-finite value written: %s", energy, got)
+			}
+			if n, err := ValidatePerfetto(bytes.NewReader(got)); err != nil || n != 3 {
+				t.Fatalf("energy %v: trace before the error: n=%d err=%v", energy, n, err)
+			}
 		}
 		checkAgainstRef(t, slice, after)
 	}
@@ -296,24 +320,210 @@ func TestAppendUsMatchesFloat(t *testing.T) {
 }
 
 // TestPerfettoRecordZeroAlloc: once a thread's row exists, encoding and
-// writing a record of any kind reaches no allocator.
+// writing a record of any kind reaches no allocator, except that a kept
+// trace allocates one fresh segment per segSize bytes.
 func TestPerfettoRecordZeroAlloc(t *testing.T) {
-	b := event.NewBus()
-	p := AttachPerfetto(b, io.Discard)
-	evs := benchEvents()
-	for _, e := range evs { // assign rows and grow the scratch buffer
-		b.Publish(e)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, e := range evs {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, w := range []io.Writer{io.Discard, nil} {
+		b := event.NewBus()
+		p := AttachPerfetto(b, w)
+		evs := benchEvents()
+		for _, e := range evs { // assign rows
 			b.Publish(e)
 		}
-	})
+		p.segs = make([][]byte, 0, 1024) // keep the segment list from growing
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range 2000 {
+			for _, e := range evs {
+				b.Publish(e)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		allocs, sealed := m1.Mallocs-m0.Mallocs, uint64(len(p.segs))
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w == nil && sealed < 10 {
+			t.Fatalf("kept trace sealed %d segments, want a run long enough for 10", sealed)
+		}
+		if allocs != sealed {
+			t.Fatalf("sink=%v: %d allocs for %d records and %d new segments", w != nil, allocs, 2000*len(evs), sealed)
+		}
+	}
+}
+
+// storeEvents is a long record mix: names of random length, some longer
+// than segReserve and a few longer than a whole segment, so records
+// straddle and overflow segment boundaries.
+func storeEvents(seed uint64, n int, threads []string) []event.Event {
+	rng := rand.New(rand.NewPCG(seed, 7))
+	evs := make([]event.Event, n)
+	for i := range evs {
+		length := rng.IntN(80)
+		switch rng.IntN(40) {
+		case 0:
+			length = segReserve + rng.IntN(600)
+		case 1:
+			length = segSize + rng.IntN(segSize)
+		}
+		evs[i] = event.Event{
+			Kind: pfKinds[rng.IntN(len(pfKinds))], Ctx: uint8(rng.IntN(7)), Code: -rng.IntN(60),
+			Time: sysc.Time(i) * 1234567, Start: sysc.Time(i) * 1000, Seq: uint64(i),
+			Energy: petri.Energy(rng.IntN(40)) * 1e-7,
+			Thread: threads[rng.IntN(len(threads))], Obj: strings.Repeat("<é", length/2),
+		}
+	}
+	return evs
+}
+
+// sizeRecorder records the size of every write it receives.
+type sizeRecorder struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (r *sizeRecorder) Write(b []byte) (int, error) {
+	r.sizes = append(r.sizes, len(b))
+	return r.Buffer.Write(b)
+}
+
+// TestPerfettoStoreSegments: a trace spanning many segments, with records
+// crossing segment boundaries and records longer than a segment, matches
+// the reference encoder both kept and streamed. Kept segments are never
+// larger than segSize; the sink receives whole segments.
+func TestPerfettoStoreSegments(t *testing.T) {
+	evs := storeEvents(1, 3000, []string{"", "a", "worker<1>", "\u2028"})
+	checkAgainstRef(t, evs...)
+
+	p := AttachPerfetto(event.NewBus(), nil)
+	var rec sizeRecorder
+	s := AttachPerfetto(event.NewBus(), &rec)
+	var mid []byte
+	for i, e := range evs {
+		p.handle(e)
+		s.handle(e)
+		if i == len(evs)/2 {
+			mid = p.Bytes() // a harvest that leaves the exporter recording
+		}
+	}
+	if len(p.segs) < 3 {
+		t.Fatalf("%d sealed segments, want at least 3", len(p.segs))
+	}
+	for i, seg := range p.segs {
+		if cap(seg) != segSize {
+			t.Fatalf("segment %d: cap %d, want %d", i, cap(seg), segSize)
+		}
+	}
+	if err := errors.Join(p.Close(), s.Close()); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range rec.sizes {
+		if n > segSize {
+			t.Fatalf("write %d: %d bytes, want at most one segment", i, n)
+		}
+	}
+	if !bytes.Equal(p.Bytes(), rec.Bytes()) {
+		t.Fatal("kept and streamed traces differ")
+	}
+	if body := mid[:len(mid)-len(arrayEnd)]; !bytes.HasPrefix(p.Bytes(), body) || string(mid[len(body):]) != arrayEnd {
+		t.Fatal("the mid-run copy is not the trace so far, terminated")
+	}
+	if _, err := ValidatePerfetto(bytes.NewReader(mid)); err != nil {
+		t.Fatalf("mid-run copy: %v", err)
+	}
+	if out := p.Bytes(); cap(out) != len(out) {
+		t.Fatalf("artifact cap %d, len %d: want exact size", cap(out), len(out))
+	}
+}
+
+// TestPerfettoLoadStateEarlierSegment rewinds a kept trace to a mark that
+// has since been sealed into an earlier segment, twice, with different
+// continuations: each result must equal a run that never rewound, and a
+// copy taken before the rewind must not change.
+func TestPerfettoLoadStateEarlierSegment(t *testing.T) {
+	threads := []string{"", "a", "b"}
+	prefix := storeEvents(2, 200, threads)
+	b := event.NewBus()
+	p := AttachPerfetto(b, nil)
+	for _, e := range prefix {
+		b.Publish(e)
+	}
+	st := p.SaveState()
+	var prev []byte
+	for seed := uint64(3); seed < 6; seed++ {
+		// New thread names after the mark must get their rows again.
+		more := storeEvents(seed, 1500, []string{"", "a", "c", "d"})
+		if seed > 3 {
+			p.LoadState(st)
+			if p.base > st.mark || p.base+len(p.cur) != st.mark {
+				t.Fatalf("rewound to byte %d of segment at %d, want the mark at byte %d", len(p.cur), p.base, st.mark)
+			}
+		}
+		for _, e := range more {
+			b.Publish(e)
+		}
+		if off := markSegment(p.segs, st.mark); off < 0 || off == st.mark || st.mark+segSize > p.base {
+			t.Fatalf("mark at byte %d is not inside an earlier segment (%d sealed, %d bytes)", st.mark, len(p.segs), p.base)
+		}
+		saved := bytes.Clone(prev)
+		got := p.Bytes()
+		want, err := encode(false, append(append([]event.Event(nil), prefix...), more...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: rewound trace differs from a straight run", seed)
+		}
+		if !bytes.Equal(prev, saved) {
+			t.Fatalf("seed %d: the previous variant's trace changed", seed)
+		}
+		prev = got
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if allocs != 0 {
-		t.Fatalf("%v allocs per %d records, want 0", allocs, len(evs))
+}
+
+// markSegment returns the offset of the sealed segment holding byte mark,
+// or -1.
+func markSegment(segs [][]byte, mark int) int {
+	off := 0
+	for _, s := range segs {
+		if mark < off+len(s) {
+			return off
+		}
+		off += len(s)
+	}
+	return -1
+}
+
+// TestPerfettoLoadStateRefusesLostBytes: bytes a sink already received
+// cannot be taken back, and a store cut back below a mark no longer holds
+// the bytes up to it, so loading either state is an error Close reports.
+func TestPerfettoLoadStateRefusesLostBytes(t *testing.T) {
+	evs := storeEvents(4, 1000, []string{"a"})
+
+	s := AttachPerfetto(event.NewBus(), io.Discard)
+	st := s.SaveState()
+	for _, e := range evs {
+		s.handle(e)
+	}
+	s.LoadState(st)
+	if err := s.Close(); err == nil {
+		t.Fatal("rewinding a streamed trace past sent bytes: Close returned no error")
+	}
+
+	k := AttachPerfetto(event.NewBus(), nil)
+	early := k.SaveState()
+	for _, e := range evs {
+		k.handle(e)
+	}
+	late := k.SaveState()
+	k.LoadState(early)
+	k.LoadState(late)
+	if err := k.Close(); err == nil {
+		t.Fatal("loading a mark beyond the store: Close returned no error")
 	}
 }
 
